@@ -177,24 +177,6 @@ class InteractionBlock:
             quantities[position] = interaction.quantity
         return cls(src, dst, times, quantities, interner)
 
-    @classmethod
-    def from_columns(
-        cls,
-        src_ids: Sequence[int],
-        dst_ids: Sequence[int],
-        times: Sequence[float],
-        quantities: Sequence[float],
-        interner: VertexInterner,
-    ) -> "InteractionBlock":
-        """Build a block from already-interned column sequences (ingest path)."""
-        return cls(
-            np.asarray(src_ids, dtype=np.int32),
-            np.asarray(dst_ids, dtype=np.int32),
-            np.asarray(times, dtype=np.float64),
-            np.asarray(quantities, dtype=np.float64),
-            interner,
-        )
-
     # ------------------------------------------------------------------
     # array-level access
     # ------------------------------------------------------------------

@@ -275,12 +275,8 @@ class ProvenanceEngine:
                 clamped_max_pull = True
                 original_max_pull = scheduler.max_pull
                 scheduler.max_pull = bound
-        if isinstance(source, TemporalInteractionNetwork):
-            vertices: Sequence[Vertex] = source.vertices
-            interactions: Iterable[Interaction] = source.interactions
-        else:
-            vertices = ()
-            interactions = source
+        network = source if isinstance(source, TemporalInteractionNetwork) else None
+        vertices: Sequence[Vertex] = network.vertices if network is not None else ()
 
         if reset:
             self.policy.reset(vertices)
@@ -297,22 +293,18 @@ class ProvenanceEngine:
                 use_columnar = (
                     scheduler is None
                     and batch_size > 1
-                    and isinstance(source, TemporalInteractionNetwork)
+                    and network is not None
                     and self.policy.has_columnar_kernel()
                 )
             else:
                 use_columnar = columnar
             use_columnar = use_columnar and not self._observers
-            if (
-                use_columnar
-                and scheduler is None
-                and batch_size > 1
-                and isinstance(source, TemporalInteractionNetwork)
-            ):
+            if use_columnar and scheduler is None and batch_size > 1 and network is not None:
                 # Eager network run: columnarise once (cached on the
                 # network) and slice the block instead of chunking objects.
+                # The network's interaction objects are never read.
                 return self._run_block(
-                    source.to_block(),
+                    network.to_block(),
                     limit=limit,
                     sample_every=sample_every,
                     batch_size=batch_size,
@@ -330,6 +322,9 @@ class ProvenanceEngine:
                     columnar=use_columnar,
                     kernel=kernel,
                 )
+            interactions: Iterable[Interaction] = (
+                network.interactions if network is not None else source
+            )
             if batch_size > 1 and not self._observers:
                 return self._run_batched(
                     interactions,

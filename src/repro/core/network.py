@@ -10,10 +10,15 @@ the library operates.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.interaction import Interaction, Vertex, sort_interactions
 from repro.exceptions import UnknownVertexError
+
+if TYPE_CHECKING:
+    from repro.core.blocks import InteractionBlock
 
 __all__ = ["TemporalInteractionNetwork", "EdgeHistory"]
 
@@ -59,10 +64,11 @@ class EdgeHistory:
 class TemporalInteractionNetwork:
     """A directed graph whose edges carry time-stamped quantity transfers.
 
-    The network can be built incrementally with :meth:`add_interaction` or in
-    one go with :meth:`from_interactions`.  Interactions are kept in
-    time order; vertices are discovered automatically from interactions but
-    isolated vertices may also be registered with :meth:`add_vertex`.
+    The network can be built incrementally with :meth:`add_interaction`, in
+    one go with :meth:`from_interactions`, or over a ready columnar block
+    with :meth:`from_block`.  Interactions are kept in time order; vertices
+    are discovered automatically from interactions but isolated vertices
+    may also be registered with :meth:`add_vertex`.
     """
 
     def __init__(self, name: str = "tin"):
@@ -74,6 +80,9 @@ class TemporalInteractionNetwork:
         self._in_neighbors: Dict[Vertex, Set[Vertex]] = defaultdict(set)
         self._sorted = True
         self._block_cache = None
+        #: Block whose rows are not yet objects, edges and neighbour sets
+        #: (see :meth:`from_block`); built on first use by :meth:`_materialise`.
+        self._pending_block = None
 
     # ------------------------------------------------------------------
     # construction
@@ -109,6 +118,31 @@ class TemporalInteractionNetwork:
             network.add_interaction(interaction)
         return network
 
+    @classmethod
+    def from_block(
+        cls, block: "InteractionBlock", *, name: str = "tin"
+    ) -> "TemporalInteractionNetwork":
+        """A network over a time-ordered columnar block (the CSV ingest).
+
+        Vertices are the block's interner in id order and :meth:`to_block`
+        returns ``block`` itself, so a columnar run never builds an object.
+        Interaction objects, edge histories and neighbour sets are built
+        from the block the first time anything reads them.
+        """
+        network = cls(name=name)
+        for vertex in block.interner.vertices:
+            network.add_vertex(vertex)
+        network._pending_block = block
+        network._block_cache = block
+        return network
+
+    def _materialise(self) -> None:
+        """Build the object form of a :meth:`from_block` network, once."""
+        block, self._pending_block = self._pending_block, None
+        if block is not None:
+            for interaction in block.to_interactions():
+                self._append(interaction)
+
     def add_vertex(self, vertex: Vertex) -> None:
         """Register a vertex (no-op if already present)."""
         if vertex not in self._vertices:
@@ -116,9 +150,13 @@ class TemporalInteractionNetwork:
 
     def add_interaction(self, interaction: Interaction) -> None:
         """Append one interaction, registering its endpoints as vertices."""
+        self._materialise()
         self.add_vertex(interaction.source)
         self.add_vertex(interaction.destination)
         self._block_cache = None
+        self._append(interaction)
+
+    def _append(self, interaction: Interaction) -> None:
         if self._interactions and interaction.time < self._interactions[-1].time:
             self._sorted = False
         self._interactions.append(interaction)
@@ -150,15 +188,19 @@ class TemporalInteractionNetwork:
 
     @property
     def num_edges(self) -> int:
+        self._materialise()
         return len(self._edges)
 
     @property
     def num_interactions(self) -> int:
+        if self._pending_block is not None:
+            return len(self._pending_block)
         return len(self._interactions)
 
     @property
     def interactions(self) -> List[Interaction]:
         """Interactions in time order (sorted lazily if needed)."""
+        self._materialise()
         if not self._sorted:
             self._interactions = sort_interactions(self._interactions)
             self._sorted = True
@@ -186,7 +228,7 @@ class TemporalInteractionNetwork:
         return iter(self.interactions)
 
     def __len__(self) -> int:
-        return len(self._interactions)
+        return self.num_interactions
 
     def __contains__(self, vertex: Vertex) -> bool:
         return vertex in self._vertices
@@ -202,6 +244,7 @@ class TemporalInteractionNetwork:
         """
         self._require_vertex(source)
         self._require_vertex(destination)
+        self._materialise()
         try:
             return self._edges[(source, destination)]
         except KeyError:
@@ -211,21 +254,25 @@ class TemporalInteractionNetwork:
 
     def edges(self) -> Iterator[EdgeHistory]:
         """Iterate over all edge histories."""
+        self._materialise()
         return iter(self._edges.values())
 
     def out_neighbors(self, vertex: Vertex) -> Set[Vertex]:
         """Vertices that ``vertex`` has sent quantities to."""
         self._require_vertex(vertex)
+        self._materialise()
         return set(self._out_neighbors.get(vertex, set()))
 
     def in_neighbors(self, vertex: Vertex) -> Set[Vertex]:
         """Vertices that have sent quantities to ``vertex``."""
         self._require_vertex(vertex)
+        self._materialise()
         return set(self._in_neighbors.get(vertex, set()))
 
     def degree(self, vertex: Vertex) -> int:
         """Total number of distinct in- and out-neighbours of ``vertex``."""
         self._require_vertex(vertex)
+        self._materialise()
         return len(self._out_neighbors.get(vertex, set())) + len(
             self._in_neighbors.get(vertex, set())
         )
@@ -235,10 +282,12 @@ class TemporalInteractionNetwork:
     # ------------------------------------------------------------------
     def total_quantity(self) -> float:
         """Sum of all transferred quantities over all interactions."""
+        self._materialise()
         return sum(r.quantity for r in self._interactions)
 
     def average_quantity(self) -> float:
         """Mean transferred quantity per interaction (0.0 for empty networks)."""
+        self._materialise()
         if not self._interactions:
             return 0.0
         return self.total_quantity() / len(self._interactions)
@@ -251,6 +300,7 @@ class TemporalInteractionNetwork:
         ValueError
             If the network has no interactions.
         """
+        self._materialise()
         if not self._interactions:
             raise ValueError("network has no interactions")
         times = [r.time for r in self._interactions]

@@ -39,7 +39,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,11 +56,7 @@ from repro.core.interaction import Interaction, Vertex
 from repro.core.network import TemporalInteractionNetwork
 from repro.core.provenance import OriginSet, ProvenanceSnapshot
 from repro.datasets.catalog import available_presets, load_preset
-from repro.datasets.io import (
-    read_interaction_block,
-    read_interactions_csv,
-    read_network_csv,
-)
+from repro.datasets.io import read_interactions_csv, read_network_csv
 from repro.exceptions import (
     MemoryBudgetExceededError,
     RunConfigurationError,
@@ -120,7 +116,6 @@ def _fault_summary(fault: Dict[str, Any]) -> Optional[Dict[str, Any]]:
 def build_policy(
     config: RunConfig,
     network: Optional[TemporalInteractionNetwork],
-    universe: Optional[Sequence[Vertex]] = None,
 ) -> SelectionPolicy:
     """Construct the policy a config describes, resolving dataset context.
 
@@ -134,10 +129,6 @@ def build_policy(
       (``k`` option, default 5),
     * ``proportional-grouped`` uses ``num_groups`` round-robin groups
       (default 5).
-
-    ``universe`` supplies the vertex universe when there is no network —
-    block-native CSV runs pass the interner's vertex table, which matches
-    the registration order a network built from the same file would have.
     """
     spec = config.policy
     if isinstance(spec, SelectionPolicy):
@@ -146,10 +137,8 @@ def build_policy(
     store_spec = config.store_spec
     if store_spec is not None:
         options.setdefault("store", store_spec)
-    if spec == "proportional-dense" and (network is not None or universe is not None):
-        options.setdefault(
-            "vertices", network.vertices if network is not None else universe
-        )
+    if spec == "proportional-dense" and network is not None:
+        options.setdefault("vertices", network.vertices)
         return make_policy(spec, **options)
     if spec == "proportional-selective" and "tracked" not in options:
         if network is None:
@@ -471,15 +460,15 @@ class Runner:
         return self._run_single(network, stream)
 
     def _block_native_ingest(self) -> bool:
-        """Whether the run should parse its CSV straight into column arrays.
+        """Whether the run should drive the engine with the CSV's block.
 
         Only for explicitly requested columnar runs over a plain CSV path:
-        the whole file becomes one block (24 bytes per row) and no network,
-        object list or interaction object is ever built.  Resumed runs stay
-        block-native too — the processed prefix is skipped with a single
-        zero-copy ``block.slice`` instead of replaying the source item by
-        item.  Follow/tail, sharded, observer-driven and memory-ceiling
-        runs keep the object ingest (ceilings need the object path's
+        the engine runs the ingest block (24 bytes per row) itself and no
+        interaction object is ever built.  Resumed runs stay block-native
+        too — the processed prefix is skipped with a single zero-copy
+        ``block.slice`` instead of replaying the source item by item.
+        Follow/tail, sharded, observer-driven and memory-ceiling runs take
+        the network paths (ceilings need the object path's
         mid-run/feasibility machinery).
         """
         config = self.config
@@ -506,30 +495,24 @@ class Runner:
         )
 
     def _run_block_native(self) -> RunResult:
-        """Columnar CSV run: parse into one block, drive the engine with it.
+        """Columnar CSV run: drive the engine with the CSV's ingest block.
 
+        The block is the time-ordered one every CSV run parses (through
+        :func:`read_network_csv`), so the universe is the whole file's and
+        ``limit`` keeps the earliest rows, exactly as on the network path.
         Resumed runs restore the engine from the checkpoint and skip the
         processed prefix with a single zero-copy ``block.slice`` — no
         source replay, no item-by-item draining.
         """
         config = self.config
-        resumed: Optional[ProvenanceEngine] = None
-        skip = 0
+        network = read_network_csv(config.dataset, vertex_type=config.vertex_type)
+        block = network.to_block()
         if config.resume_from is not None:
-            resumed = load_engine(config.resume_from)
-            skip = resumed.interactions_processed
-        # The prefix still has to be parsed (vertex ids must intern in the
-        # original first-appearance order), but it is dropped as one slice.
-        read_limit = config.limit if config.limit is None else skip + max(config.limit, 0)
-        block = read_interaction_block(
-            str(config.dataset), vertex_type=config.vertex_type, limit=read_limit
-        )
-        if resumed is not None:
-            block = block.slice(min(skip, len(block)), len(block))
-            policy = resumed.policy
-            engine = resumed
+            engine = load_engine(config.resume_from)
+            policy = engine.policy
+            block = block.slice(min(engine.interactions_processed, len(block)), len(block))
         else:
-            policy = build_policy(config, None, universe=block.interner.vertices)
+            policy = build_policy(config, network)
             engine = ProvenanceEngine(policy)
         on_checkpoint = None
         if config.checkpoint_every:
@@ -544,7 +527,7 @@ class Runner:
 
         statistics = engine.run(
             block,
-            reset=resumed is None,
+            reset=config.resume_from is None,
             limit=config.limit,
             sample_every=config.sample_every,
             batch_size=config.effective_batch_size,
@@ -564,6 +547,8 @@ class Runner:
             config=config,
             statistics=statistics,
             policy=policy,
+            # A columnar run reports no network: its interactions were
+            # never objects.
             network=None,
             engine=engine,
             memory_bytes=memory_bytes,

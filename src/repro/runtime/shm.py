@@ -1054,11 +1054,41 @@ def _pool_worker_main(task_queue, result_queue) -> None:
 # ----------------------------------------------------------------------
 # the persistent pool
 # ----------------------------------------------------------------------
+class _ResultChannel:
+    """The workers' shared reply pipe to the parent, written synchronously.
+
+    A worker writes each (already pickled) reply in its own thread, under a
+    cross-process lock, before it reads its next task.  A worker that dies
+    while running a task (a crash, or an injected kill) therefore never
+    holds the lock nor leaves half a reply in the pipe.  Not a
+    ``multiprocessing.Queue``: its writes run on a feeder thread that such a
+    death can cut off mid-write, leaving every other worker blocked on the
+    lock and the parent waiting for replies forever.
+    """
+
+    def __init__(self, ctx) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+
+    def put(self, payload: bytes) -> None:
+        with self._lock:
+            self._writer.send_bytes(payload)
+
+    def get(self, timeout: Optional[float] = None) -> bytes:
+        """The next reply; raises :class:`queue.Empty` after ``timeout``."""
+        if not self._reader.poll(timeout):
+            raise Empty
+        return self._reader.recv_bytes()
+
+    def get_nowait(self) -> bytes:
+        return self.get(0)
+
+
 class ShardWorkerPool:
     """A persistent process pool speaking shard-handle messages.
 
     Each worker owns a private task queue (so segment-release broadcasts
-    reach every worker deterministically) and shares one result queue.
+    reach every worker deterministically) and shares one result channel.
     Workers survive across runs — segments are attached once per run and
     the fork cost is paid once per pool, which is what makes repeated and
     streaming sharded runs cheap.
@@ -1070,7 +1100,7 @@ class ShardWorkerPool:
 
         self._ctx = context or multiprocessing.get_context()
         self._workers: List[Tuple[Any, Any]] = []  # (process, task_queue)
-        self._results = self._ctx.Queue()
+        self._results = _ResultChannel(self._ctx)
         self._task_counter = 0
         self._closed = False
         # One run at a time per pool: concurrent consumers of the shared

@@ -85,26 +85,37 @@ class TestStreaming:
         write_interactions_csv(sample_interactions, path)
         assert len(list(read_interactions_csv(path, limit=100))) == 3
 
-    def test_network_reader_streams(self, tmp_path, sample_interactions, monkeypatch):
-        # read_network_csv must feed the generator straight into the network
-        # builder without materialising an intermediate list.
-        import repro.datasets.io as io_module
-
+    def test_network_reader_builds_objects_on_demand(
+        self, tmp_path, sample_interactions, monkeypatch
+    ):
+        # read_network_csv parses straight to columns: no Interaction is
+        # built until the object form (interactions, edges, neighbours) is
+        # read, so a columnar run over the network never pays for one.
         path = tmp_path / "net.csv"
         write_interactions_csv(sample_interactions, path)
-        original = io_module.read_interactions_csv
-        materialised = []
+        built = []
+        original = Interaction.__post_init__
 
-        def tracking_reader(*args, **kwargs):
-            generator = original(*args, **kwargs)
-            materialised.append(generator)
-            return generator
+        def counting_post_init(interaction):
+            built.append(interaction)
+            original(interaction)
 
-        monkeypatch.setattr(io_module, "read_interactions_csv", tracking_reader)
-        network = io_module.read_network_csv(path)
-        assert network.num_interactions == 3
-        # The generator was handed over, not converted: it is now exhausted.
-        assert next(materialised[0], None) is None
+        monkeypatch.setattr(Interaction, "__post_init__", counting_post_init)
+        for read_objects in (
+            lambda network: network.interactions,
+            lambda network: network.edge("a", "b"),
+            lambda network: network.out_neighbors("a"),
+            lambda network: network.in_neighbors("a"),
+        ):
+            built.clear()
+            network = read_network_csv(path)
+            assert network.num_interactions == 3
+            assert network.vertices == ("a", "b", "c")
+            assert len(network.to_block()) == 3
+            assert built == []
+            read_objects(network)
+            assert built == sample_interactions
+            assert network.interactions == sample_interactions
 
 
 class TestErrors:
