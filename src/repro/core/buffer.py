@@ -16,17 +16,24 @@ The classes here implement the first two families together with the shared
 bookkeeping (buffer totals, iteration, provenance extraction).  Each buffer
 entry optionally carries a transfer *path* so the same structures also back
 how-provenance tracking (Section 6).
+
+Every buffer also keeps a running byte counter beside its total, updated as
+entries come and go, so :meth:`QuantityBuffer.memory_bytes` returns exactly
+what :func:`repro.metrics.memory.deep_sizeof` would find by walking the
+buffer, in O(1).  The stores read it for every ``RunResult``.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from repro.core.interaction import Vertex
 from repro.core.provenance import OriginSet
+from repro.metrics.memory import SCALAR_TYPES
 
 __all__ = [
     "BufferEntry",
@@ -41,8 +48,10 @@ __all__ = [
 # entries that would bloat the buffers.
 _EPSILON = 1e-12
 
+_getsizeof = sys.getsizeof
 
-@dataclass
+
+@dataclass(slots=True)
 class BufferEntry:
     """One quantity element stored in a vertex buffer.
 
@@ -89,6 +98,49 @@ class BufferEntry:
         """Return an independent copy of this entry."""
         return BufferEntry(self.origin, self.quantity, self.birth_time, self.path)
 
+    def __reduce__(self):
+        # Positional: the default reduction of a slotted object pickles a
+        # {slot name: value} dict per entry, which makes checkpoints, shm
+        # commits and the policies a stream finish returns slower to pickle.
+        return (BufferEntry, (self.origin, self.quantity, self.birth_time, self.path))
+
+
+#: ``getsizeof`` of an entry object plus its ``None`` path.
+_ENTRY_BYTES = _getsizeof(BufferEntry(0, 0.0)) + _getsizeof(None)
+#: ``getsizeof`` of the ``(key, counter, entry)`` tuple a heap item is.
+_HEAP_ITEM_BYTES = _getsizeof((0.0, 0, None))
+_NAN = float("nan")
+
+
+def _entry_bytes(entry: BufferEntry) -> float:
+    """What ``deep_sizeof`` charges for one buffered entry.
+
+    The walk sizes scalar slot values per reference, so an entry costs its
+    object plus the ``getsizeof`` of each field.  An entry with a path, or a
+    field of a type the walk does not size per reference, returns NaN: the
+    walk counts a tuple shared by several entries once, which no per-entry
+    counter can do.  NaN absorbs every later update, so such a buffer falls
+    back to the walk for good (:meth:`QuantityBuffer.memory_bytes`).
+    """
+    origin = entry.origin
+    quantity = entry.quantity
+    birth_time = entry.birth_time
+    if (
+        entry.path is None
+        and type(origin) in SCALAR_TYPES
+        and type(quantity) in SCALAR_TYPES
+        and type(birth_time) in SCALAR_TYPES
+    ):
+        # Scalars are not garbage-collected objects, so __sizeof__ is what
+        # getsizeof returns for them, at a quarter of the call cost.
+        return (
+            _ENTRY_BYTES
+            + origin.__sizeof__()
+            + quantity.__sizeof__()
+            + birth_time.__sizeof__()
+        )
+    return _NAN
+
 
 class QuantityBuffer:
     """Base class for entry-based buffers (heap, FIFO, LIFO).
@@ -96,13 +148,16 @@ class QuantityBuffer:
     Subclasses define the *selection order*: which stored entry is handed
     out next when quantity must leave the buffer.  The base class maintains
     the running total ``|B_v|`` and implements provenance extraction, which
-    is identical for every entry-based policy.
+    is identical for every entry-based policy.  ``_bytes`` is the running
+    size of the stored items (entries, plus a heap's item tuples), kept by
+    ``push``/``_pop`` and by :meth:`drain` when a split resizes a field.
     """
 
-    __slots__ = ("_total",)
+    __slots__ = ("_total", "_bytes")
 
     def __init__(self) -> None:
         self._total = 0.0
+        self._bytes = 0
 
     # -- interface to implement -----------------------------------------
     def push(self, entry: BufferEntry) -> None:
@@ -123,6 +178,10 @@ class QuantityBuffer:
 
     def __len__(self) -> int:
         """Number of stored entries."""
+        raise NotImplementedError
+
+    def _slot_bytes(self) -> int:
+        """``getsizeof`` of the subclass's own slot values (its container)."""
         raise NotImplementedError
 
     # -- shared behaviour -------------------------------------------------
@@ -149,7 +208,14 @@ class QuantityBuffer:
         while residue > _EPSILON and len(self) > 0:
             head = self._peek()
             if head.quantity > residue + _EPSILON:
+                held = head.quantity
                 piece = head.split(residue)
+                # The remainder may differ in size: an int quantity split by
+                # a float turns into a float.
+                if type(head.quantity) in SCALAR_TYPES:
+                    self._bytes += _getsizeof(head.quantity) - _getsizeof(held)
+                else:
+                    self._bytes = _NAN
                 self._total -= residue
                 selected.append(piece)
                 residue = 0.0
@@ -161,6 +227,23 @@ class QuantityBuffer:
         if self._total < _EPSILON:
             self._total = 0.0
         return selected
+
+    def memory_bytes(self) -> Optional[int]:
+        """``deep_sizeof(self)``, exactly, in O(1).
+
+        ``None`` when the buffer holds an entry its counter cannot size (see
+        :func:`_entry_bytes`); callers then walk it.
+        """
+        held = self._bytes
+        if held != held:  # NaN
+            return None
+        return (
+            held
+            + _getsizeof(self)
+            + _getsizeof(self._total)
+            + _getsizeof(held)
+            + self._slot_bytes()
+        )
 
     def origins(self) -> OriginSet:
         """Aggregate the stored entries into an :class:`OriginSet`."""
@@ -195,25 +278,38 @@ class HeapBuffer(QuantityBuffer):
         """True when the buffer selects the least recently born entry first."""
         return self._oldest_first
 
-    def _key(self, entry: BufferEntry) -> float:
-        return entry.birth_time if self._oldest_first else -entry.birth_time
-
     def push(self, entry: BufferEntry) -> None:
-        heapq.heappush(self._heap, (self._key(entry), self._counter, entry))
-        self._counter += 1
+        key = entry.birth_time if self._oldest_first else -entry.birth_time
+        order = self._counter
+        heapq.heappush(self._heap, (key, order, entry))
+        self._counter = order + 1
         self._total += entry.quantity
+        self._bytes += (
+            _HEAP_ITEM_BYTES + key.__sizeof__() + order.__sizeof__() + _entry_bytes(entry)
+        )
 
     def _peek(self) -> BufferEntry:
         return self._heap[0][2]
 
     def _pop(self) -> BufferEntry:
-        return heapq.heappop(self._heap)[2]
+        key, order, entry = heapq.heappop(self._heap)
+        self._bytes -= (
+            _HEAP_ITEM_BYTES + key.__sizeof__() + order.__sizeof__() + _entry_bytes(entry)
+        )
+        return entry
 
     def entries(self) -> Iterator[BufferEntry]:
         return (item[2] for item in self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
+
+    def _slot_bytes(self) -> int:
+        return (
+            _getsizeof(self._heap)
+            + _getsizeof(self._oldest_first)
+            + _getsizeof(self._counter)
+        )
 
 
 class FifoBuffer(QuantityBuffer):
@@ -228,18 +324,24 @@ class FifoBuffer(QuantityBuffer):
     def push(self, entry: BufferEntry) -> None:
         self._queue.append(entry)
         self._total += entry.quantity
+        self._bytes += _entry_bytes(entry)
 
     def _peek(self) -> BufferEntry:
         return self._queue[0]
 
     def _pop(self) -> BufferEntry:
-        return self._queue.popleft()
+        entry = self._queue.popleft()
+        self._bytes -= _entry_bytes(entry)
+        return entry
 
     def entries(self) -> Iterator[BufferEntry]:
         return iter(self._queue)
 
     def __len__(self) -> int:
         return len(self._queue)
+
+    def _slot_bytes(self) -> int:
+        return _getsizeof(self._queue)
 
 
 class LifoBuffer(QuantityBuffer):
@@ -254,15 +356,21 @@ class LifoBuffer(QuantityBuffer):
     def push(self, entry: BufferEntry) -> None:
         self._stack.append(entry)
         self._total += entry.quantity
+        self._bytes += _entry_bytes(entry)
 
     def _peek(self) -> BufferEntry:
         return self._stack[-1]
 
     def _pop(self) -> BufferEntry:
-        return self._stack.pop()
+        entry = self._stack.pop()
+        self._bytes -= _entry_bytes(entry)
+        return entry
 
     def entries(self) -> Iterator[BufferEntry]:
         return iter(self._stack)
 
     def __len__(self) -> int:
         return len(self._stack)
+
+    def _slot_bytes(self) -> int:
+        return _getsizeof(self._stack)

@@ -8,27 +8,45 @@ objects actually reachable from a policy (buffers, heaps, dicts, numpy
 arrays) with :func:`deep_sizeof`, and offers a :class:`MemoryCeiling`
 observer that reproduces the "infeasible / out of memory" entries of the
 paper without exhausting physical RAM.
+
+The walk sizes scalars (``SCALAR_TYPES``) per reference wherever they sit:
+in dicts, lists, tuples and object slots alike.  That rule makes the size
+of an entry buffer a sum over its entries, so buffers keep it as a running
+counter (:meth:`repro.core.buffer.QuantityBuffer.memory_bytes`), and the
+stores report ``memory_bytes`` through :func:`counted_sizeof`, which charges
+such counters instead of walking what they count.  :func:`deep_sizeof`
+stays the definition: the tests check every counter against it, byte for
+byte.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
-from typing import Any, Callable, Iterable, Optional, Set
+from functools import lru_cache
+from typing import Any, Callable, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import MemoryBudgetExceededError
 
-__all__ = ["deep_sizeof", "policy_memory_bytes", "MemoryCeiling", "format_bytes"]
+__all__ = [
+    "SCALAR_TYPES",
+    "deep_sizeof",
+    "counted_sizeof",
+    "policy_memory_bytes",
+    "MemoryCeiling",
+    "format_bytes",
+]
 
 
-#: Leaf types whose size is just ``sys.getsizeof``: handled inline in the
-#: container loops below so the million-float provenance dicts never pay a
-#: per-element traversal frame.  ``bool`` is a subclass of ``int`` and
-#: needs no separate entry; subclasses of these fall through to the slow
-#: path, matching the old recursive ``isinstance`` behaviour.
-_SCALAR_TYPES = frozenset(
+#: Leaf types whose size is just ``sys.getsizeof``, charged per reference:
+#: handled inline in the container loops below so the million-float
+#: provenance dicts never pay a per-element traversal frame.  ``bool`` is a
+#: subclass of ``int`` and needs no separate entry; subclasses of these fall
+#: through to the slow path, matching the old recursive ``isinstance``
+#: behaviour.
+SCALAR_TYPES = frozenset(
     (str, bytes, bytearray, int, float, complex, bool, type(None))
 )
 
@@ -40,20 +58,37 @@ def deep_sizeof(obj: Any, *, _seen: Optional[Set[int]] = None) -> int:
     deque, dataclass-like objects with ``__dict__`` or ``__slots__``) and
     numpy arrays (counted by ``nbytes`` plus object overhead).  Shared
     containers and arrays are counted once; scalar leaves are sized per
-    reference (deduplicating interned ints or floats would shave noise-level
-    bytes at the cost of an id-set probe for every entry of every store).
+    reference, as container items and as slot values alike (deduplicating
+    interned ints or floats would shave noise-level bytes at the cost of an
+    id-set probe for every entry of every store).
 
     The traversal is an explicit work stack, and containers holding only
     scalars — provenance stores are overwhelmingly flat ``{vertex: float}``
     dicts — are sized with C-level ``map``/``sum`` passes instead of a
     Python-level loop per element.
     """
-    seen = _seen if _seen is not None else set()
+    return _walk(obj, _seen if _seen is not None else set(), counted=False)
+
+
+def counted_sizeof(obj: Any) -> int:
+    """:func:`deep_sizeof` of ``obj``, using the byte counters objects keep.
+
+    Any object below ``obj`` with a ``memory_bytes()`` method that returns an
+    int (an entry buffer, a store) is charged that number instead of being
+    walked; one that returns ``None`` is walked as usual.  The result equals
+    ``deep_sizeof(obj)`` whenever the counters are exact, which the store
+    tests check.  ``obj`` itself is always walked, so a store can define its
+    own ``memory_bytes`` as ``counted_sizeof(self)``.
+    """
+    return _walk(obj, set(), counted=True)
+
+
+def _walk(root: Any, seen: Set[int], *, counted: bool) -> int:
     seen_add = seen.add
     getsizeof = sys.getsizeof
-    scalar_types = _SCALAR_TYPES
+    scalar_types = SCALAR_TYPES
     total = 0
-    stack = [obj]
+    stack = [root]
     while stack:
         current = stack.pop()
         object_id = id(current)
@@ -83,9 +118,8 @@ def deep_sizeof(obj: Any, *, _seen: Optional[Set[int]] = None) -> int:
             total += int(current.nbytes) + getsizeof(current, 0)
             continue
 
-        total += getsizeof(current, 0)
-
         if isinstance(current, dict):
+            total += getsizeof(current, 0)
             values = current.values()
             if (
                 set(map(type, current)) <= scalar_types
@@ -105,6 +139,7 @@ def deep_sizeof(obj: Any, *, _seen: Optional[Set[int]] = None) -> int:
             continue
 
         if isinstance(current, (list, tuple, set, frozenset, deque)):
+            total += getsizeof(current, 0)
             if set(map(type, current)) <= scalar_types:
                 total += sum(map(getsizeof, current))
             else:
@@ -118,27 +153,47 @@ def deep_sizeof(obj: Any, *, _seen: Optional[Set[int]] = None) -> int:
         if isinstance(
             current, (str, bytes, bytearray, int, float, complex, bool)
         ) or current is None:
+            total += getsizeof(current, 0)
             continue
 
+        if counted and current is not root:
+            measure = getattr(current, "memory_bytes", None)
+            if callable(measure):
+                size = measure()
+                if size is not None:
+                    total += size
+                    continue
+
         # Generic objects: follow __dict__ and __slots__ attributes.
+        total += getsizeof(current, 0)
         obj_dict = getattr(current, "__dict__", None)
         if obj_dict is not None:
             stack.append(obj_dict)
         for slot in _all_slots(type(current)):
             if hasattr(current, slot):
-                stack.append(getattr(current, slot))
+                value = getattr(current, slot)
+                if type(value) in scalar_types:
+                    total += getsizeof(value, 0)
+                else:
+                    stack.append(value)
     return total
 
 
-def _all_slots(cls: type) -> Iterable[str]:
-    """All ``__slots__`` names declared along the MRO of ``cls``."""
+@lru_cache(maxsize=None)
+def _all_slots(cls: type) -> Tuple[str, ...]:
+    """The data ``__slots__`` declared along the MRO of ``cls``, once each.
+
+    Reads each class's own ``__slots__`` (``getattr`` would hand a subclass
+    without slots its parent's, counting them twice) and skips ``__dict__``,
+    which the walk follows anyway, and ``__weakref__``.
+    """
     names = []
     for klass in cls.__mro__:
-        slots = getattr(klass, "__slots__", ())
+        slots = klass.__dict__.get("__slots__", ())
         if isinstance(slots, str):
             slots = (slots,)
-        names.extend(slots)
-    return names
+        names.extend(name for name in slots if name not in ("__dict__", "__weakref__"))
+    return tuple(names)
 
 
 def policy_memory_bytes(policy: Any) -> int:

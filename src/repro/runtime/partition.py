@@ -64,6 +64,7 @@ __all__ = [
     "ShardRun",
     "block_universe",
     "connected_components",
+    "block_components",
     "stable_shard_index",
     "stable_shard_indices",
     "partition_network",
@@ -78,22 +79,48 @@ __all__ = [
 ]
 
 
-@dataclass
 class Shard:
-    """One vertex partition and the interactions assigned to it."""
+    """One vertex partition and the interactions assigned to it.
 
-    index: int
-    vertices: Tuple[Vertex, ...]
-    interactions: List[Interaction]
-    #: The shard's interactions in columnar form (same rows, same order as
-    #: :attr:`interactions`), present when the plan was built with a block.
-    #: Columnar sharded runs drive the shard engines with this instead of
-    #: the object list.
-    block: Optional[InteractionBlock] = None
+    ``block`` holds the shard's rows in columnar form (same rows, same order
+    as :attr:`interactions`) when the plan was built with a block; columnar
+    sharded runs drive the shard engines with it.  Such a shard builds its
+    :class:`Interaction` list from the block the first time
+    :attr:`interactions` is read, so a plan that only runs columns never
+    builds an object.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        vertices: Tuple[Vertex, ...],
+        interactions: Optional[List[Interaction]] = None,
+        block: Optional[InteractionBlock] = None,
+    ) -> None:
+        self.index = index
+        self.vertices = vertices
+        self._interactions = interactions
+        self.block = block
+
+    @property
+    def interactions(self) -> List[Interaction]:
+        if self._interactions is None:
+            self._interactions = (
+                self.block.to_interactions() if self.block is not None else []
+            )
+        return self._interactions
 
     @property
     def num_interactions(self) -> int:
+        if self._interactions is None and self.block is not None:
+            return len(self.block)
         return len(self.interactions)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"Shard(index={self.index}, vertices={len(self.vertices)}, "
+            f"interactions={self.num_interactions})"
+        )
 
     def universe(self) -> Tuple[Vertex, ...]:
         """All vertices a policy on this shard can encounter.
@@ -233,6 +260,36 @@ def connected_components(network: TemporalInteractionNetwork) -> List[Set[Vertex
     return sorted(groups.values(), key=len, reverse=True)
 
 
+def block_components(block: InteractionBlock) -> List[Set[Vertex]]:
+    """:func:`connected_components` from the id columns of a whole network.
+
+    ``block`` must be the network's own (``network.to_block()``), whose
+    interner lists every vertex in registration order.  Labels spread along
+    the unique edges (minimum label, then pointer jumping) until they
+    settle; the groups come out in the same order as
+    :func:`connected_components` gives them: largest first, ties by each
+    group's first vertex.
+    """
+    n, edge_u, edge_v, _weight, _load = interaction_graph(block)
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(labels[edge_u], labels[edge_v])
+        settled = labels.copy()
+        np.minimum.at(settled, edge_u, low)
+        np.minimum.at(settled, edge_v, low)
+        settled = settled[settled]
+        if np.array_equal(settled, labels):
+            break
+        labels = settled
+    # A label is the smallest id of its group, so sorting groups by label
+    # orders them by first vertex.
+    _, group_of = np.unique(labels, return_inverse=True)
+    groups: List[Set[Vertex]] = [set() for _ in range(int(group_of.max()) + 1 if n else 0)]
+    for vertex, group in zip(block.interner.vertices, group_of.tolist()):
+        groups[group].add(vertex)
+    return sorted(groups, key=len, reverse=True)
+
+
 def stable_shard_index(vertex: Vertex, num_shards: int) -> int:
     """Deterministic shard assignment of a vertex (stable across processes).
 
@@ -284,11 +341,14 @@ def partition_network(
     engine's ``limit``, applied before assignment so the total processed
     count matches an unsharded limited run.
 
-    With ``block`` (the network's columnar form), interaction routing is
-    vectorised: membership is computed once per *vertex*, the stream is
-    assigned with one fancy-index over the id arrays, and every shard also
-    carries its rows as a :class:`~repro.core.blocks.InteractionBlock` for
-    columnar shard engines.  Assignments are identical to the object loop.
+    With ``block`` (the network's columnar form), planning and routing read
+    columns only: components come from :func:`block_components`,
+    membership is computed once per *vertex*, the stream is assigned with
+    one fancy-index over the id arrays, and every shard carries its rows as
+    a :class:`~repro.core.blocks.InteractionBlock` for columnar shard
+    engines, building :class:`Interaction` objects only if
+    :attr:`Shard.interactions` is read.  Assignments are identical to the
+    object loop.
 
     Shards that end up with zero interactions are pruned from the plan
     (their vertices fold into the lightest surviving shard), and every plan
@@ -299,10 +359,14 @@ def partition_network(
     build_start = _time.perf_counter()
     if num_shards < 1:
         raise RunConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    interactions = network.interactions
-    if limit is not None:
-        interactions = interactions[: max(limit, 0)]
-    if block is not None and limit is not None:
+    # With a block, planning and routing read columns only: a block-backed
+    # network never builds its Interaction objects here.
+    interactions: Sequence[Interaction] = ()
+    if block is None:
+        interactions = network.interactions
+        if limit is not None:
+            interactions = interactions[: max(limit, 0)]
+    elif limit is not None:
         block = block.slice(0, max(limit, 0))
     # The quality stats (and the mincut graph) read the id columns of the
     # columnar form; the network caches it, so this is free on reuse.
@@ -312,13 +376,18 @@ def partition_network(
 
     exact_build = False
     if mode == "components":
-        components = connected_components(network)
-        num_shards = min(num_shards, len(components)) or 1
         # Greedy balance by interaction weight: heaviest component first into
         # the currently lightest shard.
         weight: Dict[Vertex, int] = {}
-        for interaction in interactions:
-            weight[interaction.source] = weight.get(interaction.source, 0) + 1
+        if block is not None:
+            components = block_components(network.to_block())
+            sourced = np.bincount(block.src_ids, minlength=len(block.interner))
+            weight = dict(zip(block.interner.vertices, sourced.tolist()))
+        else:
+            components = connected_components(network)
+            for interaction in interactions:
+                weight[interaction.source] = weight.get(interaction.source, 0) + 1
+        num_shards = min(num_shards, len(components)) or 1
         component_weight = [
             sum(weight.get(vertex, 0) for vertex in component)
             for component in components
@@ -382,11 +451,10 @@ def partition_network(
             if mode != "components"
             else 0
         )
-        shard_interactions = []
+        # Shards build their objects from these blocks on demand.
+        shard_interactions: List[Optional[List[Interaction]]] = [None] * num_shards
         for index in range(num_shards):
-            positions = np.flatnonzero(assigned == index)
-            shard_blocks[index] = block.take(positions)
-            shard_interactions.append([interactions[p] for p in positions.tolist()])
+            shard_blocks[index] = block.take(np.flatnonzero(assigned == index))
     else:
         cross = (
             sum(

@@ -216,10 +216,16 @@ class ProvenanceStore(abc.ABC):
         """Current accounting snapshot (see :class:`StoreStats`)."""
 
     def memory_bytes(self) -> int:
-        """Estimated *resident* bytes (spilled entries excluded)."""
-        from repro.metrics.memory import deep_sizeof
+        """Estimated *resident* bytes (spilled entries excluded).
 
-        return deep_sizeof(self)
+        Equals ``deep_sizeof(self)``, but values that keep a byte counter
+        (entry buffers) are charged it instead of being walked, so the
+        ``memory_bytes`` every ``RunResult`` carries costs O(1) per buffer
+        (:func:`repro.metrics.memory.counted_sizeof`).
+        """
+        from repro.metrics.memory import counted_sizeof
+
+        return counted_sizeof(self)
 
     def raw_dict(self) -> Optional[dict]:
         """The backing dict when the store is a plain in-memory dict.

@@ -50,12 +50,19 @@ class TestTables7And8:
         assert "proportional-sparse" in policy_columns
 
     def test_noprov_is_fastest(self):
-        results = experiments.policy_comparison(("taxis",), scale=SCALE)
-        by_policy = {r.policy: r for r in results}
-        noprov = by_policy["no-provenance"].runtime_seconds
-        for label, result in by_policy.items():
-            if label != "no-provenance" and result.feasible:
-                assert noprov <= result.runtime_seconds * 1.5
+        # One run of a policy takes a few milliseconds here, below the noise
+        # of a shared machine, so each policy is timed by its best of 5 runs.
+        best = {}
+        for _ in range(5):
+            for result in experiments.policy_comparison(("taxis",), scale=SCALE):
+                if result.feasible:
+                    best[result.policy] = min(
+                        best.get(result.policy, result.runtime_seconds),
+                        result.runtime_seconds,
+                    )
+        noprov = best.pop("no-provenance")
+        for runtime_seconds in best.values():
+            assert noprov <= runtime_seconds * 1.5
 
     def test_noprov_uses_least_memory(self):
         results = experiments.policy_comparison(("taxis",), scale=SCALE)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.interaction import Interaction
 from repro.core.network import TemporalInteractionNetwork
+from repro.datasets.io import read_network_csv, write_interactions_csv
 from repro.exceptions import RunConfigurationError
 from repro.policies.receipt_order import FifoPolicy
 from repro.runtime import (
@@ -19,6 +20,7 @@ from repro.runtime import (
     stable_shard_index,
 )
 from repro.core.engine import RunStatistics
+from repro.runtime.partition import block_components
 
 
 def _component_network(num_components: int = 6, chain: int = 4):
@@ -104,6 +106,54 @@ class TestPartitionNetwork:
     def test_unknown_mode_rejected(self, paper_network):
         with pytest.raises(RunConfigurationError):
             partition_network(paper_network, 2, mode="astrology")
+
+
+class TestBlockRouting:
+    def test_block_components_match_connected_components(
+        self, paper_network, tiny_taxis_network
+    ):
+        isolated = TemporalInteractionNetwork.from_interactions(
+            [Interaction("a", "b", 1.0, 1.0), Interaction("c", "d", 2.0, 1.0)],
+            vertices=["lonely", "d"],
+        )
+        for network in (
+            paper_network,
+            tiny_taxis_network,
+            isolated,
+            _component_network(num_components=5, chain=3),
+        ):
+            assert block_components(network.to_block()) == connected_components(
+                network
+            )
+
+    @pytest.mark.parametrize("mode", ["hash", "components", "mincut"])
+    def test_block_plan_builds_no_objects(
+        self, tmp_path, monkeypatch, tiny_taxis_network, mode
+    ):
+        # Routing a CSV-read network with its block reads columns only; the
+        # shards hold the same rows as the object path's, built on demand.
+        path = tmp_path / "net.csv"
+        write_interactions_csv(tiny_taxis_network.interactions, path)
+        object_plan = partition_network(read_network_csv(path), 2, mode=mode)
+        network = read_network_csv(path)
+        built = []
+        original = Interaction.__post_init__
+
+        def counting_post_init(interaction):
+            built.append(interaction)
+            original(interaction)
+
+        monkeypatch.setattr(Interaction, "__post_init__", counting_post_init)
+        plan = partition_network(network, 2, mode=mode, block=network.to_block())
+        assert built == []
+        assert [s.num_interactions for s in plan.shards] == [
+            s.num_interactions for s in object_plan.shards
+        ]
+        assert built == []
+        assert plan.cross_shard_interactions == object_plan.cross_shard_interactions
+        for shard, reference in zip(plan.shards, object_plan.shards):
+            assert shard.vertices == reference.vertices
+            assert shard.interactions == reference.interactions
 
 
 class TestShardedRuns:
