@@ -17,10 +17,10 @@ bookkeeping (buffer totals, iteration, provenance extraction).  Each buffer
 entry optionally carries a transfer *path* so the same structures also back
 how-provenance tracking (Section 6).
 
-Every buffer also keeps a running byte counter beside its total, updated as
-entries come and go, so :meth:`QuantityBuffer.memory_bytes` returns exactly
-what :func:`repro.metrics.memory.deep_sizeof` would find by walking the
-buffer, in O(1).  The stores read it for every ``RunResult``.
+:meth:`QuantityBuffer.memory_bytes` returns exactly what
+:func:`repro.metrics.memory.deep_sizeof` would find by walking a buffer, as
+a few C-level ``getsizeof`` sums over its entries' fields instead of one
+traversal step per entry.  The stores read it for every ``RunResult``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import heapq
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Deque, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.interaction import Vertex
 from repro.core.provenance import OriginSet
@@ -104,42 +105,56 @@ class BufferEntry:
         # commits and the policies a stream finish returns slower to pickle.
         return (BufferEntry, (self.origin, self.quantity, self.birth_time, self.path))
 
+    def __setstate__(self, state) -> None:
+        # Checkpoints written while entries were plain (unslotted) objects
+        # pickled each one as its attribute dict.
+        for name, value in state.items():
+            setattr(self, name, value)
+
 
 #: ``getsizeof`` of an entry object plus its ``None`` path.
 _ENTRY_BYTES = _getsizeof(BufferEntry(0, 0.0)) + _getsizeof(None)
 #: ``getsizeof`` of the ``(key, counter, entry)`` tuple a heap item is.
 _HEAP_ITEM_BYTES = _getsizeof((0.0, 0, None))
-_NAN = float("nan")
+_FLOAT_BYTES = _getsizeof(0.0)
+_FLOAT_ONLY = {float}
+_entry_fields = attrgetter("origin", "quantity", "birth_time", "path")
 
 
-def _entry_bytes(entry: BufferEntry) -> float:
-    """What ``deep_sizeof`` charges for one buffered entry.
+def _scalar_bytes(*columns: Sequence) -> Optional[int]:
+    """``getsizeof`` summed over scalar columns; ``None`` if one is not scalar.
 
-    The walk sizes scalar slot values per reference, so an entry costs its
-    object plus the ``getsizeof`` of each field.  An entry with a path, or a
-    field of a type the walk does not size per reference, returns NaN: the
-    walk counts a tuple shared by several entries once, which no per-entry
-    counter can do.  NaN absorbs every later update, so such a buffer falls
-    back to the walk for good (:meth:`QuantityBuffer.memory_bytes`).
+    The walk sizes scalars per reference but counts any other object once
+    however often it is referenced, which a sum cannot do.
     """
-    origin = entry.origin
-    quantity = entry.quantity
-    birth_time = entry.birth_time
-    if (
-        entry.path is None
-        and type(origin) in SCALAR_TYPES
-        and type(quantity) in SCALAR_TYPES
-        and type(birth_time) in SCALAR_TYPES
-    ):
-        # Scalars are not garbage-collected objects, so __sizeof__ is what
-        # getsizeof returns for them, at a quarter of the call cost.
-        return (
-            _ENTRY_BYTES
-            + origin.__sizeof__()
-            + quantity.__sizeof__()
-            + birth_time.__sizeof__()
-        )
-    return _NAN
+    total = 0
+    for column in columns:
+        types = set(map(type, column))
+        if types == _FLOAT_ONLY:  # every float has one size
+            total += len(column) * _FLOAT_BYTES
+        elif types <= SCALAR_TYPES:
+            total += sum(map(_getsizeof, column))
+        else:
+            return None
+    return total
+
+
+def _entries_bytes(entries: Sequence[BufferEntry]) -> Optional[int]:
+    """What ``deep_sizeof`` charges for distinct buffered ``entries``.
+
+    An entry costs its object plus the ``getsizeof`` of each field.  ``None``
+    when an entry has a path (the walk counts a tuple shared by several
+    entries once) or a field the walk does not size per reference.
+    """
+    if not entries:
+        return 0
+    origins, quantities, births, paths = zip(*map(_entry_fields, entries))
+    if paths.count(None) != len(paths):
+        return None
+    fields = _scalar_bytes(origins, quantities, births)
+    if fields is None:
+        return None
+    return len(entries) * _ENTRY_BYTES + fields
 
 
 class QuantityBuffer:
@@ -148,16 +163,13 @@ class QuantityBuffer:
     Subclasses define the *selection order*: which stored entry is handed
     out next when quantity must leave the buffer.  The base class maintains
     the running total ``|B_v|`` and implements provenance extraction, which
-    is identical for every entry-based policy.  ``_bytes`` is the running
-    size of the stored items (entries, plus a heap's item tuples), kept by
-    ``push``/``_pop`` and by :meth:`drain` when a split resizes a field.
+    is identical for every entry-based policy.
     """
 
-    __slots__ = ("_total", "_bytes")
+    __slots__ = ("_total",)
 
     def __init__(self) -> None:
         self._total = 0.0
-        self._bytes = 0
 
     # -- interface to implement -----------------------------------------
     def push(self, entry: BufferEntry) -> None:
@@ -180,8 +192,12 @@ class QuantityBuffer:
         """Number of stored entries."""
         raise NotImplementedError
 
-    def _slot_bytes(self) -> int:
-        """``getsizeof`` of the subclass's own slot values (its container)."""
+    def _slot_bytes(self) -> Optional[int]:
+        """``deep_sizeof`` of the subclass's own slot values, or ``None``.
+
+        That is its container plus the stored items (entries, and a heap's
+        item tuples); ``None`` when :func:`_entries_bytes` cannot sum them.
+        """
         raise NotImplementedError
 
     # -- shared behaviour -------------------------------------------------
@@ -208,14 +224,7 @@ class QuantityBuffer:
         while residue > _EPSILON and len(self) > 0:
             head = self._peek()
             if head.quantity > residue + _EPSILON:
-                held = head.quantity
                 piece = head.split(residue)
-                # The remainder may differ in size: an int quantity split by
-                # a float turns into a float.
-                if type(head.quantity) in SCALAR_TYPES:
-                    self._bytes += _getsizeof(head.quantity) - _getsizeof(held)
-                else:
-                    self._bytes = _NAN
                 self._total -= residue
                 selected.append(piece)
                 residue = 0.0
@@ -229,21 +238,15 @@ class QuantityBuffer:
         return selected
 
     def memory_bytes(self) -> Optional[int]:
-        """``deep_sizeof(self)``, exactly, in O(1).
+        """``deep_sizeof(self)``, exactly, without walking the entries.
 
-        ``None`` when the buffer holds an entry its counter cannot size (see
-        :func:`_entry_bytes`); callers then walk it.
+        ``None`` when the buffer holds an entry that cannot be summed (see
+        :func:`_entries_bytes`); callers then walk it.
         """
-        held = self._bytes
-        if held != held:  # NaN
+        held = self._slot_bytes()
+        if held is None:
             return None
-        return (
-            held
-            + _getsizeof(self)
-            + _getsizeof(self._total)
-            + _getsizeof(held)
-            + self._slot_bytes()
-        )
+        return held + _getsizeof(self) + _getsizeof(self._total)
 
     def origins(self) -> OriginSet:
         """Aggregate the stored entries into an :class:`OriginSet`."""
@@ -278,25 +281,19 @@ class HeapBuffer(QuantityBuffer):
         """True when the buffer selects the least recently born entry first."""
         return self._oldest_first
 
+    def _key(self, entry: BufferEntry) -> float:
+        return entry.birth_time if self._oldest_first else -entry.birth_time
+
     def push(self, entry: BufferEntry) -> None:
-        key = entry.birth_time if self._oldest_first else -entry.birth_time
-        order = self._counter
-        heapq.heappush(self._heap, (key, order, entry))
-        self._counter = order + 1
+        heapq.heappush(self._heap, (self._key(entry), self._counter, entry))
+        self._counter += 1
         self._total += entry.quantity
-        self._bytes += (
-            _HEAP_ITEM_BYTES + key.__sizeof__() + order.__sizeof__() + _entry_bytes(entry)
-        )
 
     def _peek(self) -> BufferEntry:
         return self._heap[0][2]
 
     def _pop(self) -> BufferEntry:
-        key, order, entry = heapq.heappop(self._heap)
-        self._bytes -= (
-            _HEAP_ITEM_BYTES + key.__sizeof__() + order.__sizeof__() + _entry_bytes(entry)
-        )
-        return entry
+        return heapq.heappop(self._heap)[2]
 
     def entries(self) -> Iterator[BufferEntry]:
         return (item[2] for item in self._heap)
@@ -304,12 +301,20 @@ class HeapBuffer(QuantityBuffer):
     def __len__(self) -> int:
         return len(self._heap)
 
-    def _slot_bytes(self) -> int:
-        return (
+    def _slot_bytes(self) -> Optional[int]:
+        container = (
             _getsizeof(self._heap)
             + _getsizeof(self._oldest_first)
             + _getsizeof(self._counter)
         )
+        if not self._heap:
+            return container
+        keys, orders, entries = zip(*self._heap)
+        items = _scalar_bytes(keys, orders)
+        held = _entries_bytes(entries)
+        if items is None or held is None:
+            return None
+        return container + len(entries) * _HEAP_ITEM_BYTES + items + held
 
 
 class FifoBuffer(QuantityBuffer):
@@ -324,15 +329,12 @@ class FifoBuffer(QuantityBuffer):
     def push(self, entry: BufferEntry) -> None:
         self._queue.append(entry)
         self._total += entry.quantity
-        self._bytes += _entry_bytes(entry)
 
     def _peek(self) -> BufferEntry:
         return self._queue[0]
 
     def _pop(self) -> BufferEntry:
-        entry = self._queue.popleft()
-        self._bytes -= _entry_bytes(entry)
-        return entry
+        return self._queue.popleft()
 
     def entries(self) -> Iterator[BufferEntry]:
         return iter(self._queue)
@@ -340,8 +342,9 @@ class FifoBuffer(QuantityBuffer):
     def __len__(self) -> int:
         return len(self._queue)
 
-    def _slot_bytes(self) -> int:
-        return _getsizeof(self._queue)
+    def _slot_bytes(self) -> Optional[int]:
+        held = _entries_bytes(self._queue)
+        return None if held is None else _getsizeof(self._queue) + held
 
 
 class LifoBuffer(QuantityBuffer):
@@ -356,15 +359,12 @@ class LifoBuffer(QuantityBuffer):
     def push(self, entry: BufferEntry) -> None:
         self._stack.append(entry)
         self._total += entry.quantity
-        self._bytes += _entry_bytes(entry)
 
     def _peek(self) -> BufferEntry:
         return self._stack[-1]
 
     def _pop(self) -> BufferEntry:
-        entry = self._stack.pop()
-        self._bytes -= _entry_bytes(entry)
-        return entry
+        return self._stack.pop()
 
     def entries(self) -> Iterator[BufferEntry]:
         return iter(self._stack)
@@ -372,5 +372,6 @@ class LifoBuffer(QuantityBuffer):
     def __len__(self) -> int:
         return len(self._stack)
 
-    def _slot_bytes(self) -> int:
-        return _getsizeof(self._stack)
+    def _slot_bytes(self) -> Optional[int]:
+        held = _entries_bytes(self._stack)
+        return None if held is None else _getsizeof(self._stack) + held

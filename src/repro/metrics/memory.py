@@ -11,12 +11,13 @@ paper without exhausting physical RAM.
 
 The walk sizes scalars (``SCALAR_TYPES``) per reference wherever they sit:
 in dicts, lists, tuples and object slots alike.  That rule makes the size
-of an entry buffer a sum over its entries, so buffers keep it as a running
-counter (:meth:`repro.core.buffer.QuantityBuffer.memory_bytes`), and the
-stores report ``memory_bytes`` through :func:`counted_sizeof`, which charges
-such counters instead of walking what they count.  :func:`deep_sizeof`
-stays the definition: the tests check every counter against it, byte for
-byte.
+of an entry buffer a sum over its entries' fields, which the buffer takes
+with a few C-level passes instead of one traversal step per entry
+(:meth:`repro.core.buffer.QuantityBuffer.memory_bytes`), and the stores
+report ``memory_bytes`` through :func:`counted_sizeof`, which charges such
+self-reported sizes instead of walking what they cover.  :func:`deep_sizeof`
+stays the definition: the tests check every reported size against it, byte
+for byte.
 """
 
 from __future__ import annotations
@@ -71,14 +72,14 @@ def deep_sizeof(obj: Any, *, _seen: Optional[Set[int]] = None) -> int:
 
 
 def counted_sizeof(obj: Any) -> int:
-    """:func:`deep_sizeof` of ``obj``, using the byte counters objects keep.
+    """:func:`deep_sizeof` of ``obj``, using the sizes objects report.
 
     Any object below ``obj`` with a ``memory_bytes()`` method that returns an
     int (an entry buffer, a store) is charged that number instead of being
     walked; one that returns ``None`` is walked as usual.  The result equals
-    ``deep_sizeof(obj)`` whenever the counters are exact, which the store
-    tests check.  ``obj`` itself is always walked, so a store can define its
-    own ``memory_bytes`` as ``counted_sizeof(self)``.
+    ``deep_sizeof(obj)`` whenever the reported sizes are exact, which the
+    store tests check.  ``obj`` itself is always walked, so a store can
+    define its own ``memory_bytes`` as ``counted_sizeof(self)``.
     """
     return _walk(obj, set(), counted=True)
 

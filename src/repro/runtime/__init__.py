@@ -20,7 +20,6 @@ from repro.runtime.partition import (
     PartitionPlan,
     Shard,
     ShardRun,
-    attach_shard_blocks,
     connected_components,
     fork_payload_bytes,
     merge_snapshots,
@@ -49,7 +48,6 @@ __all__ = [
     "ShardRun",
     "interaction_graph",
     "mincut_membership",
-    "attach_shard_blocks",
     "connected_components",
     "fork_payload_bytes",
     "partition_network",

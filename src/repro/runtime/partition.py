@@ -68,7 +68,6 @@ __all__ = [
     "stable_shard_index",
     "stable_shard_indices",
     "partition_network",
-    "attach_shard_blocks",
     "shard_row_positions",
     "plan_membership",
     "warmup_membership",
@@ -83,11 +82,10 @@ class Shard:
     """One vertex partition and the interactions assigned to it.
 
     ``block`` holds the shard's rows in columnar form (same rows, same order
-    as :attr:`interactions`) when the plan was built with a block; columnar
-    sharded runs drive the shard engines with it.  Such a shard builds its
-    :class:`Interaction` list from the block the first time
-    :attr:`interactions` is read, so a plan that only runs columns never
-    builds an object.
+    as :attr:`interactions`); columnar sharded runs drive the shard engines
+    with it.  A shard with a block builds its :class:`Interaction` list from
+    it the first time :attr:`interactions` is read, so a plan that only runs
+    columns never builds an object.
     """
 
     def __init__(
@@ -237,7 +235,9 @@ def connected_components(network: TemporalInteractionNetwork) -> List[Set[Vertex
     """Weakly-connected components of the network, largest first.
 
     Uses union-find over the edge set; isolated vertices form singleton
-    components.
+    components.  Reads the network's objects and edge histories; partition
+    plans use the columnar :func:`block_components`, which this function
+    defines.
     """
     parent: Dict[Vertex, Vertex] = {vertex: vertex for vertex in network.vertices}
 
@@ -341,14 +341,14 @@ def partition_network(
     engine's ``limit``, applied before assignment so the total processed
     count matches an unsharded limited run.
 
-    With ``block`` (the network's columnar form), planning and routing read
-    columns only: components come from :func:`block_components`,
-    membership is computed once per *vertex*, the stream is assigned with
-    one fancy-index over the id arrays, and every shard carries its rows as
-    a :class:`~repro.core.blocks.InteractionBlock` for columnar shard
-    engines, building :class:`Interaction` objects only if
-    :attr:`Shard.interactions` is read.  Assignments are identical to the
-    object loop.
+    Planning and routing read the network's columnar form (``block``, or
+    ``network.to_block()`` when none is given) and nothing else: components
+    come from :func:`block_components`, membership is computed once per
+    *vertex*, the stream is assigned with one fancy-index over the id
+    arrays, and every shard carries its rows as a
+    :class:`~repro.core.blocks.InteractionBlock`, building
+    :class:`Interaction` objects only if :attr:`Shard.interactions` is read
+    (their times and quantities are then the block's floats).
 
     Shards that end up with zero interactions are pruned from the plan
     (their vertices fold into the lightest surviving shard), and every plan
@@ -359,34 +359,21 @@ def partition_network(
     build_start = _time.perf_counter()
     if num_shards < 1:
         raise RunConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    # With a block, planning and routing read columns only: a block-backed
-    # network never builds its Interaction objects here.
-    interactions: Sequence[Interaction] = ()
+    # Planning and routing read columns only: a block-backed network never
+    # builds its Interaction objects here.
     if block is None:
-        interactions = network.interactions
-        if limit is not None:
-            interactions = interactions[: max(limit, 0)]
-    elif limit is not None:
+        block = network.to_block()
+    if limit is not None:
         block = block.slice(0, max(limit, 0))
-    # The quality stats (and the mincut graph) read the id columns of the
-    # columnar form; the network caches it, so this is free on reuse.
-    stats_block = block if block is not None else network.to_block()
-    if block is None and limit is not None:
-        stats_block = stats_block.slice(0, max(limit, 0))
+    vertex_table = block.interner.vertices
 
     exact_build = False
     if mode == "components":
         # Greedy balance by interaction weight: heaviest component first into
         # the currently lightest shard.
-        weight: Dict[Vertex, int] = {}
-        if block is not None:
-            components = block_components(network.to_block())
-            sourced = np.bincount(block.src_ids, minlength=len(block.interner))
-            weight = dict(zip(block.interner.vertices, sourced.tolist()))
-        else:
-            components = connected_components(network)
-            for interaction in interactions:
-                weight[interaction.source] = weight.get(interaction.source, 0) + 1
+        components = block_components(network.to_block())
+        sourced = np.bincount(block.src_ids, minlength=len(vertex_table))
+        weight = dict(zip(vertex_table, sourced.tolist()))
         num_shards = min(num_shards, len(components)) or 1
         component_weight = [
             sum(weight.get(vertex, 0) for vertex in component)
@@ -401,19 +388,12 @@ def partition_network(
             for vertex in components[position]:
                 membership[vertex] = lightest
     elif mode == "hash":
-        if block is not None:
-            assignments = stable_shard_indices(block.interner.vertices, num_shards)
-            membership = {
-                vertex: int(shard)
-                for vertex, shard in zip(block.interner.vertices, assignments)
-            }
-        else:
-            membership = {
-                vertex: stable_shard_index(vertex, num_shards)
-                for vertex in network.vertices
-            }
+        assignments = stable_shard_indices(vertex_table, num_shards)
+        membership = {
+            vertex: int(shard) for vertex, shard in zip(vertex_table, assignments)
+        }
     elif mode == "mincut":
-        n, edge_u, edge_v, edge_weight, load = interaction_graph(stats_block)
+        n, edge_u, edge_v, edge_weight, load = interaction_graph(block)
         assignments, exact_build = mincut_membership(
             n,
             edge_u,
@@ -425,8 +405,7 @@ def partition_network(
             seed=seed,
         )
         membership = {
-            vertex: int(shard)
-            for vertex, shard in zip(stats_block.interner.vertices, assignments)
+            vertex: int(shard) for vertex, shard in zip(vertex_table, assignments)
         }
     else:
         raise RunConfigurationError(f"unknown partition mode {mode!r}")
@@ -435,46 +414,26 @@ def partition_network(
     for vertex in network.vertices:  # registration order keeps dense indices stable
         shard_vertices[membership[vertex]].append(vertex)
 
-    shard_blocks: List[Optional[InteractionBlock]] = [None] * num_shards
-    if block is not None:
-        # Vectorised routing: per-vertex membership, one fancy-index per
-        # stream column.  flatnonzero yields ascending positions, so shard
-        # streams keep global time order exactly like the object loop.
-        member_of_id = np.fromiter(
-            (membership[vertex] for vertex in block.interner.vertices),
-            dtype=np.int64,
-            count=len(block.interner),
-        )
-        assigned = member_of_id[block.src_ids]
-        cross = (
-            int(np.count_nonzero(assigned != member_of_id[block.dst_ids]))
-            if mode != "components"
-            else 0
-        )
-        # Shards build their objects from these blocks on demand.
-        shard_interactions: List[Optional[List[Interaction]]] = [None] * num_shards
-        for index in range(num_shards):
-            shard_blocks[index] = block.take(np.flatnonzero(assigned == index))
-    else:
-        cross = (
-            sum(
-                1
-                for interaction in interactions
-                if membership[interaction.source] != membership[interaction.destination]
-            )
-            if mode != "components"
-            else 0
-        )
-        shard_interactions = [[] for _ in range(num_shards)]
-        for interaction in interactions:
-            shard_interactions[membership[interaction.source]].append(interaction)
+    # Vectorised routing: per-vertex membership, one fancy-index per stream
+    # column.  flatnonzero yields ascending positions, so shard streams keep
+    # global time order.
+    member_of_id = np.fromiter(
+        (membership[vertex] for vertex in vertex_table),
+        dtype=np.int64,
+        count=len(vertex_table),
+    )
+    assigned = member_of_id[block.src_ids]
+    cross = (
+        int(np.count_nonzero(assigned != member_of_id[block.dst_ids]))
+        if mode != "components"
+        else 0
+    )
 
     shards = [
         Shard(
             index=i,
             vertices=tuple(shard_vertices[i]),
-            interactions=shard_interactions[i],
-            block=shard_blocks[i],
+            block=block.take(np.flatnonzero(assigned == i)),
         )
         for i in range(num_shards)
     ]
@@ -505,14 +464,9 @@ def partition_network(
     # never changes which interactions cross shards), with imbalance
     # measured against the surviving shard count — the straggler predictor
     # for the pool that actually runs.
-    n, edge_u, edge_v, edge_weight, load = interaction_graph(stats_block)
-    member_of_all = np.fromiter(
-        (membership[vertex] for vertex in stats_block.interner.vertices),
-        dtype=np.int64,
-        count=len(stats_block.interner),
-    )
+    n, edge_u, edge_v, edge_weight, load = interaction_graph(block)
     cut_edges, cut_weight, measured_imbalance = membership_stats(
-        member_of_all, edge_u, edge_v, edge_weight, load, len(kept)
+        member_of_id, edge_u, edge_v, edge_weight, load, len(kept)
     )
     stats = PartitionStats(
         strategy=mode,
@@ -542,10 +496,9 @@ def shard_row_positions(
 
     Membership is recovered from the plan's vertex lists and the stream is
     assigned with one fancy-index over the source-id column — the
-    vectorised routing shared by :func:`attach_shard_blocks` and the
-    shared-memory fabric (which writes the routed rows straight into
-    pool-resident buffers).  ``flatnonzero`` yields ascending positions, so
-    each shard's rows keep global time order.
+    vectorised routing of the shared-memory fabric (which writes the routed
+    rows straight into pool-resident buffers).  ``flatnonzero`` yields
+    ascending positions, so each shard's rows keep global time order.
     """
     membership = {
         vertex: shard.index for shard in plan.shards for vertex in shard.vertices
@@ -600,25 +553,6 @@ def warmup_membership(
         network, num_shards, mode=mode, imbalance=imbalance, seed=seed
     )
     return plan_membership(plan)
-
-
-def attach_shard_blocks(
-    plan: PartitionPlan,
-    block: InteractionBlock,
-    *,
-    limit: Optional[int] = None,
-) -> None:
-    """Route a network's columnar block onto an existing partition plan.
-
-    Used when the columnar decision is made after planning (the Runner's
-    auto mode): shard membership is recovered from the plan's vertex lists
-    and the rows are assigned with one fancy-index, exactly like planning
-    with ``block=`` up front would have.
-    """
-    if limit is not None:
-        block = block.slice(0, max(limit, 0))
-    for shard, positions in zip(plan.shards, shard_row_positions(plan, block)):
-        shard.block = block.take(positions)
 
 
 def fork_payload_bytes(

@@ -70,7 +70,6 @@ from repro.runtime.partition import (
     PartitionPlan,
     Shard,
     ShardRun,
-    attach_shard_blocks,
     merge_snapshots,
     merge_statistics,
     partition_network,
@@ -771,43 +770,22 @@ class Runner:
     ) -> Tuple[PartitionPlan, List[SelectionPolicy]]:
         """Partition plus per-shard policies, exactly as a sharded run ships.
 
-        Applies the same block-attachment rules ``_run_sharded`` executes
-        under — columnar/fabric runs partition with the network's block
-        (vectorised membership and routing, shards carry their columns),
-        and auto mode attaches blocks after the policies decide.  Public so
-        the bench harness can measure the fork payload of precisely the
-        plan a run would dispatch, without re-implementing this logic.
+        The plan routes the network's cached block, so every shard carries
+        its columns (and builds objects only if a shard engine runs them).
+        Public so the bench harness can measure the fork payload of
+        precisely the plan a run would dispatch, without re-implementing
+        this logic.
         """
         config = self.config
-        # Min-cut plans partition with the block up front: the partitioner
-        # reads the id columns anyway (cached on the network), and routing
-        # is then one fancy-index instead of an object loop.
-        columnar_plan = (
-            bool(config.columnar)
-            or config.uses_shared_memory
-            or config.shard_by == "mincut"
-        )
         plan = partition_network(
             network,
             config.shards,
             mode=config.shard_by,
             limit=config.limit,
-            block=network.to_block() if columnar_plan else None,
             imbalance=config.shard_imbalance,
             seed=config.partition_seed,
         )
-        policies = self._shard_policies(network, plan)
-        if (
-            not columnar_plan
-            and config.columnar is None
-            and config.effective_batch_size > 1
-            and policies
-            and policies[0].has_columnar_kernel()
-        ):
-            # Auto mode: the policies decide after the plan exists; route
-            # the cached block onto the already-built shards.
-            attach_shard_blocks(plan, network.to_block(), limit=config.limit)
-        return plan, policies
+        return plan, self._shard_policies(network, plan)
 
     def _run_sharded(self, network: TemporalInteractionNetwork) -> RunResult:
         config = self.config

@@ -218,10 +218,10 @@ class ProvenanceStore(abc.ABC):
     def memory_bytes(self) -> int:
         """Estimated *resident* bytes (spilled entries excluded).
 
-        Equals ``deep_sizeof(self)``, but values that keep a byte counter
+        Equals ``deep_sizeof(self)``, but values that report their own size
         (entry buffers) are charged it instead of being walked, so the
-        ``memory_bytes`` every ``RunResult`` carries costs O(1) per buffer
-        (:func:`repro.metrics.memory.counted_sizeof`).
+        ``memory_bytes`` every ``RunResult`` carries costs a few C-level
+        passes per buffer (:func:`repro.metrics.memory.counted_sizeof`).
         """
         from repro.metrics.memory import counted_sizeof
 

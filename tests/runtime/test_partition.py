@@ -20,7 +20,7 @@ from repro.runtime import (
     stable_shard_index,
 )
 from repro.core.engine import RunStatistics
-from repro.runtime.partition import block_components
+from repro.runtime.partition import block_components, plan_membership
 
 
 def _component_network(num_components: int = 6, chain: int = 4):
@@ -126,34 +126,64 @@ class TestBlockRouting:
                 network
             )
 
+    @pytest.mark.parametrize("with_block", [True, False], ids=["block", "default"])
     @pytest.mark.parametrize("mode", ["hash", "components", "mincut"])
-    def test_block_plan_builds_no_objects(
-        self, tmp_path, monkeypatch, tiny_taxis_network, mode
+    def test_plan_builds_no_objects(
+        self, tmp_path, monkeypatch, tiny_taxis_network, mode, with_block
     ):
-        # Routing a CSV-read network with its block reads columns only; the
-        # shards hold the same rows as the object path's, built on demand.
+        # Planning and routing a CSV-read network read its columns only; the
+        # shards hold the rows their sources route to, built on demand.
         path = tmp_path / "net.csv"
         write_interactions_csv(tiny_taxis_network.interactions, path)
-        object_plan = partition_network(read_network_csv(path), 2, mode=mode)
+        reference = read_network_csv(path).interactions
         network = read_network_csv(path)
-        built = []
-        original = Interaction.__post_init__
-
-        def counting_post_init(interaction):
-            built.append(interaction)
-            original(interaction)
-
-        monkeypatch.setattr(Interaction, "__post_init__", counting_post_init)
-        plan = partition_network(network, 2, mode=mode, block=network.to_block())
+        built = _count_built_interactions(monkeypatch)
+        block = network.to_block() if with_block else None
+        plan = partition_network(network, 2, mode=mode, block=block)
         assert built == []
+        membership = plan_membership(plan)
         assert [s.num_interactions for s in plan.shards] == [
-            s.num_interactions for s in object_plan.shards
+            sum(membership[i.source] == shard.index for i in reference)
+            for shard in plan.shards
         ]
         assert built == []
-        assert plan.cross_shard_interactions == object_plan.cross_shard_interactions
-        for shard, reference in zip(plan.shards, object_plan.shards):
-            assert shard.vertices == reference.vertices
-            assert shard.interactions == reference.interactions
+        if mode == "components":
+            assert plan.cross_shard_interactions == 0
+        else:
+            assert plan.cross_shard_interactions == sum(
+                membership[i.source] != membership[i.destination] for i in reference
+            )
+        for shard in plan.shards:
+            assert shard.interactions == [
+                i for i in reference if membership[i.source] == shard.index
+            ]
+
+    def test_default_sharded_csv_run_builds_no_objects(
+        self, tmp_path, monkeypatch, tiny_taxis_network
+    ):
+        # The dict store is pinned: lrb's columnar kernel needs it, and a
+        # shard engine without one runs (and builds) the objects.
+        path = tmp_path / "net.csv"
+        write_interactions_csv(tiny_taxis_network.interactions, path)
+        unsharded = run(dataset=str(path), policy="lrb", store="dict")
+        built = _count_built_interactions(monkeypatch)
+        sharded = run(dataset=str(path), policy="lrb", shards=2, store="dict")
+        assert built == []
+        assert sharded.partition.exact
+        assert sharded.buffer_totals() == pytest.approx(unsharded.buffer_totals())
+
+
+def _count_built_interactions(monkeypatch):
+    """Record every :class:`Interaction` built from now on."""
+    built = []
+    original = Interaction.__post_init__
+
+    def counting_post_init(interaction):
+        built.append(interaction)
+        original(interaction)
+
+    monkeypatch.setattr(Interaction, "__post_init__", counting_post_init)
+    return built
 
 
 class TestShardedRuns:

@@ -26,6 +26,7 @@ from repro.policies.no_provenance import NoProvenancePolicy
 from repro.policies.registry import available_policies, make_policy
 from repro.runtime import RunConfig, Runner, fork_payload_bytes, partition_network, run_shards
 from repro.runtime import shm as shm_mod
+from repro.runtime.partition import Shard
 from repro.stores import StoreSpec
 from repro.stores.dense import DenseNumpyStore
 
@@ -373,8 +374,13 @@ def test_plan_segment_round_trip(network):
     block = network.to_block()
     routed = partition_network(network, 3, mode="hash", block=block)
     reference = [shard.block for shard in routed.shards]
+    blockless = partition_network(network, 3, mode="hash", block=block)
+    blockless.shards = [
+        Shard(shard.index, shard.vertices, interactions=shard.interactions)
+        for shard in blockless.shards
+    ]
     for source_plan, source_block in (
-        (partition_network(network, 3, mode="hash"), block),  # positions path
+        (blockless, block),  # positions path
         (routed, None),  # pre-routed shard blocks path
     ):
         segment, handle = shm_mod.build_shared_plan(source_plan, source_block)

@@ -1,19 +1,22 @@
-"""Store byte counters against the walk they replace.
+"""Store memory accounting against the walk it replaces.
 
 Every ``RunResult`` reports each store's ``memory_bytes``.  The stores get
-it from the running byte counters entry buffers keep
-(``QuantityBuffer.memory_bytes``), not from a walk over every entry, but
-:func:`~repro.metrics.memory.deep_sizeof` stays the definition: on every
-entry policy, on the dict and sqlite stores, and on every way of driving a
-run, the counter must equal the walk byte for byte.
+it from each entry buffer's ``QuantityBuffer.memory_bytes``, a few C-level
+``getsizeof`` sums over the buffer's entry fields, not from a walk over
+every entry, but :func:`~repro.metrics.memory.deep_sizeof` stays the
+definition: on every entry policy, on the dict and sqlite stores, and on
+every way of driving a run, the sum must equal the walk byte for byte.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import dataclass
 
 import pytest
 
+from repro.core import buffer as buffer_module
 from repro.core.buffer import BufferEntry, FifoBuffer, HeapBuffer, LifoBuffer
 from repro.core.checkpoint import load_engine, save_engine
 from repro.core.engine import ProvenanceEngine
@@ -62,14 +65,14 @@ def int_network():
     return TemporalInteractionNetwork.from_interactions(interactions, name="ints")
 
 
-def assert_counters_exact(policy, *, counted=True):
+def assert_accounting_exact(policy, *, summed=True):
     """Every store of ``policy`` reports exactly its ``deep_sizeof``."""
     for role, store in policy.stores().items():
         walked = deep_sizeof(store)
         assert store.memory_bytes() == walked, role
         assert store.stats().memory_bytes == walked, role
-        if counted:
-            # The counters, not a fallback walk, produced the number.
+        if summed:
+            # The buffers' sums, not a fallback walk, produced the number.
             assert all(
                 buffer.memory_bytes() is not None
                 for _vertex, buffer in store.items()
@@ -84,13 +87,13 @@ def fresh_policy(name, store, **options):
 
 @pytest.mark.parametrize("store", sorted(STORES))
 @pytest.mark.parametrize("policy_name", ENTRY_POLICIES)
-class TestCountersEqualTheWalk:
+class TestMemoryBytesEqualsTheWalk:
     def test_process(self, preset_network, int_network, policy_name, store):
         for network in (preset_network, int_network):
             policy = fresh_policy(policy_name, store)
             for interaction in network.interactions:
                 policy.process(interaction)
-            assert_counters_exact(policy)
+            assert_accounting_exact(policy)
 
     def test_process_many(self, preset_network, int_network, policy_name, store):
         for network in (preset_network, int_network):
@@ -98,16 +101,16 @@ class TestCountersEqualTheWalk:
             interactions = network.interactions
             for start in range(0, len(interactions), 97):
                 policy.process_many(interactions[start : start + 97])
-            assert_counters_exact(policy)
+            assert_accounting_exact(policy)
 
     def test_block_and_fused_paths(self, preset_network, policy_name, store):
         block = preset_network.to_block()
         columnar = fresh_policy(policy_name, store)
         columnar.process_block(block)
-        assert_counters_exact(columnar)
+        assert_accounting_exact(columnar)
         fused = fresh_policy(policy_name, store)
         fused.process_run(block)
-        assert_counters_exact(fused)
+        assert_accounting_exact(fused)
 
     def test_checkpoint_round_trip(
         self, tmp_path, int_network, policy_name, store
@@ -117,9 +120,9 @@ class TestCountersEqualTheWalk:
         path = tmp_path / "state.ckpt"
         save_engine(engine, path)
         restored = load_engine(path)
-        assert_counters_exact(restored.policy)
+        assert_accounting_exact(restored.policy)
         restored.run(int_network.interactions[250:], reset=False)
-        assert_counters_exact(restored.policy)
+        assert_accounting_exact(restored.policy)
 
 
 @pytest.mark.parametrize("policy_name", ENTRY_POLICIES)
@@ -134,9 +137,8 @@ def test_policies_returned_by_a_sharded_stream(preset_network, policy_name):
     ).run()
     assert len(result.shard_runs) == 2
     for run in result.shard_runs:
-        # Unpickled in this process: containers were rebuilt at new sizes,
-        # and the entries' counters came back with the buffers.
-        assert_counters_exact(run.policy)
+        # Unpickled in this process: containers were rebuilt at new sizes.
+        assert_accounting_exact(run.policy)
 
 
 @pytest.mark.parametrize("store", sorted(STORES))
@@ -146,7 +148,7 @@ def test_path_tracking_buffers_fall_back_to_the_walk(preset_network, store):
     policy.process_many(preset_network.interactions)
     buffers = [buffer for _vertex, buffer in policy.stores()["buffers"].items()]
     assert any(buffer.memory_bytes() is None for buffer in buffers)
-    assert_counters_exact(policy, counted=False)
+    assert_accounting_exact(policy, summed=False)
 
 
 def test_tuple_origins_fall_back_to_the_walk():
@@ -157,7 +159,7 @@ def test_tuple_origins_fall_back_to_the_walk():
     ]
     policy = fresh_policy("lrb", "dict")
     policy.process_many(interactions)
-    assert_counters_exact(policy, counted=False)
+    assert_accounting_exact(policy, summed=False)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +167,7 @@ def test_tuple_origins_fall_back_to_the_walk():
     [FifoBuffer, LifoBuffer, HeapBuffer, lambda: HeapBuffer(oldest_first=False)],
     ids=["fifo", "lifo", "heap-oldest", "heap-newest"],
 )
-def test_buffer_counter_through_pushes_splits_and_pops(buffer_factory):
+def test_buffer_bytes_through_pushes_splits_and_pops(buffer_factory):
     rng = random.Random(3)
     buffer = buffer_factory()
     assert buffer.memory_bytes() == deep_sizeof(buffer)
@@ -179,6 +181,18 @@ def test_buffer_counter_through_pushes_splits_and_pops(buffer_factory):
         assert buffer.memory_bytes() == deep_sizeof(buffer), step
 
 
+def test_non_ascii_origins_after_pickling():
+    """A non-ASCII ``str`` grows once it is encoded; the sum sees that."""
+    buffer = FifoBuffer()
+    for step in range(5):
+        buffer.push(BufferEntry(f"vértice-{step}", 1.5, float(step)))
+    assert buffer.memory_bytes() == deep_sizeof(buffer)
+    before = deep_sizeof(buffer)
+    pickle.dumps(buffer)  # caches each origin's UTF-8 form
+    assert deep_sizeof(buffer) > before
+    assert buffer.memory_bytes() == deep_sizeof(buffer)
+
+
 def test_entries_pickle_positionally():
     entry = BufferEntry("v", 2.5, 1.0, ("v", "w"))
     function, arguments = entry.__reduce__()
@@ -186,8 +200,63 @@ def test_entries_pickle_positionally():
     assert not hasattr(entry, "__dict__")
 
 
+@dataclass
+class _UnslottedEntry:
+    """``BufferEntry`` as it was before it had slots, under the same name."""
+
+    __module__ = BufferEntry.__module__
+    __qualname__ = BufferEntry.__qualname__
+
+    origin: object
+    quantity: float
+    birth_time: float = 0.0
+    path: object = None
+
+
+@pytest.mark.parametrize("policy_name", ENTRY_POLICIES)
+def test_checkpoint_of_unslotted_entries_loads(
+    tmp_path, monkeypatch, int_network, policy_name
+):
+    """A checkpoint that pickled each entry as its attribute dict resumes."""
+    reference = ProvenanceEngine(fresh_policy(policy_name, "dict"))
+    reference.run(int_network)
+    engine = ProvenanceEngine(fresh_policy(policy_name, "dict"))
+    engine.run(int_network, limit=250)
+    for _vertex, buffer in engine.policy.stores()["buffers"].items():
+        for slot in ("_heap", "_queue", "_stack"):
+            items = getattr(buffer, slot, None)
+            if items is None:
+                continue
+            for position, item in enumerate(items):
+                entry = item[2] if slot == "_heap" else item
+                old = _UnslottedEntry(
+                    entry.origin, entry.quantity, entry.birth_time, entry.path
+                )
+                items[position] = item[:2] + (old,) if slot == "_heap" else old
+    path = tmp_path / "old.ckpt"
+    # Pickle the stand-in as the class the old layout was written from.
+    monkeypatch.setattr(buffer_module, "BufferEntry", _UnslottedEntry)
+    save_engine(engine, path)
+    monkeypatch.undo()
+    assert b"birth_time" in path.read_bytes()
+
+    restored = load_engine(path)
+    entries = [
+        entry
+        for _vertex, buffer in restored.policy.stores()["buffers"].items()
+        for entry in buffer.entries()
+    ]
+    assert entries and all(type(entry) is BufferEntry for entry in entries)
+    assert_accounting_exact(restored.policy)
+    restored.run(int_network.interactions[250:], reset=False)
+    assert {v: o.as_dict() for v, o in restored.snapshot().items()} == {
+        v: o.as_dict() for v, o in reference.snapshot().items()
+    }
+    assert_accounting_exact(restored.policy)
+
+
 def test_default_csv_run_never_walks(tmp_path, monkeypatch, preset_network):
-    """The RunResult's store stats come from the counters alone."""
+    """The RunResult's store stats come from the buffers' sums alone."""
     csv_path = tmp_path / "rows.csv"
     write_interactions_csv(preset_network.interactions, csv_path)
 
@@ -197,3 +266,6 @@ def test_default_csv_run_never_walks(tmp_path, monkeypatch, preset_network):
     monkeypatch.setattr(memory, "deep_sizeof", walk)
     result = Runner(RunConfig(dataset=str(csv_path), policy="lrb")).run()
     assert result.store_stats["buffers"].memory_bytes > 0
+    # No buffer fell back to the walk: each one summed its entries.
+    monkeypatch.undo()
+    assert_accounting_exact(result.policy)
