@@ -1071,12 +1071,17 @@ class Runner:
                     goal += config.checkpoint_every
             boundaries.append(total)
             for goal in boundaries:
-                for shard, pos in enumerate(positions):
-                    end = int(np.searchsorted(pos, goal))
-                    cursor = cursors[shard]
-                    while cursor < end:
-                        upper = min(cursor + capacity, end)
-                        rows = pos[cursor:upper]
+                ends = [int(np.searchsorted(pos, goal)) for pos in positions]
+                # One batch per shard in turn, so no worker idles while the
+                # parent waits on another shard's full ring.
+                busy = [
+                    shard for shard in range(num_shards) if cursors[shard] < ends[shard]
+                ]
+                while busy:
+                    for shard in busy:
+                        cursor = cursors[shard]
+                        upper = min(cursor + capacity, ends[shard])
+                        rows = positions[shard][cursor:upper]
                         fabric.append(
                             shard,
                             src_col[rows],
@@ -1085,8 +1090,8 @@ class Runner:
                             quantities_col[rows],
                             table,
                         )
-                        cursor = upper
-                    cursors[shard] = cursor
+                        cursors[shard] = upper
+                    busy = [shard for shard in busy if cursors[shard] < ends[shard]]
                 if goal < total:
                     states = fabric.checkpoint_states()
                     _write_partitioned_manifest(

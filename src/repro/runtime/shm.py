@@ -10,10 +10,8 @@ dispatch.  This module replaces it with a *shard fabric*:
   of the :class:`~repro.core.blocks.VertexInterner` vertex table and the
   per-shard vertex lists, are placed into a single
   :mod:`multiprocessing.shared_memory` segment (an mmap-backed temp file
-  where POSIX shared memory is unavailable).  The vectorised
-  ``stable_shard_indices`` routing writes straight into the segment
-  (``np.take(..., out=view)``), so shard columns are materialised exactly
-  once, already pool-resident.
+  where POSIX shared memory is unavailable).  The shard columns
+  ``partition_network`` routed are copied in column by column.
 * A **persistent worker pool** (:class:`ShardWorkerPool`) — workers fork
   once, attach each segment once, and then receive shard-index handle
   messages per run; repeated and streaming runs amortise fork+attach
@@ -237,21 +235,23 @@ class ShardOutcome:
 class StreamOpen:
     """Open one resident per-shard streaming session in a pool worker.
 
-    The worker attaches the shard's ring segments once, resets the policy
-    with the shard universe (unless resuming) and opens an
+    The worker attaches the shard's ring segments once, restores the
+    session from ``base`` and opens an
     :meth:`~repro.core.engine.ProvenanceEngine.stream_run`; everything that
     follows is incremental :class:`AppendTask` messages.
     """
 
     stream_id: str
     shard_index: int
-    policy: SelectionPolicy
-    #: Vertex universe for ``policy.reset`` — ``Shard.universe()`` for
-    #: dataset-backed streams, empty for pure live sources (matching the
-    #: single-consumer scheduler, which resets with no universe either).
-    universe: Tuple[Vertex, ...]
-    #: Initial vertex table (global interner prefix); appends extend it.
-    table: Tuple[Vertex, ...]
+    #: The pickled state the session starts from, in the one recovery-base
+    #: format: a checkpoint state dict (``policy``, ``table`` — the initial
+    #: vertex table, which appends extend — ``interactions_processed`` and
+    #: ``current_time``), as a worker's commit produces it.  A fresh
+    #: session's base carries ``universe`` instead of the counters, and its
+    #: policy is reset with it: ``Shard.universe()`` for dataset-backed
+    #: streams, empty for pure live sources (matching the single-consumer
+    #: scheduler, which resets with no universe either).
+    base: bytes
     #: The shard's ring of reusable column segments, slot order.
     ring: Tuple[SegmentHandle, ...]
     #: Column layout shared by every ring slot (``capacity`` rows each).
@@ -261,9 +261,6 @@ class StreamOpen:
     kernel: str = "auto"
     state_kind: str = "shm"
     state_name: Optional[str] = None
-    #: Engine counters of a resumed run (policy then arrives already
-    #: carrying its checkpointed state and is NOT reset).
-    resume: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -557,47 +554,30 @@ def _layout_blocks(row_counts: Sequence[int]) -> Tuple[List[BlockHandle], int]:
     return handles, offset
 
 
-def build_shared_plan(plan, block: Optional[InteractionBlock] = None):
+def build_shared_plan(plan):
     """Materialise a partition plan's shard columns into one shared segment.
 
-    Returns ``(segment, handle)``.  Three sources, in preference order:
+    Returns ``(segment, handle)``.  Two sources, in preference order:
 
-    1. shard blocks already attached to the plan (the Runner's sharded
-       path routes them with one vectorised fancy-index at partition time)
-       — copied column-wise into the segment, no membership recomputation.
-    2. ``block`` — the network's (limit-sliced) columnar form.  Shard row
-       positions are recovered from the plan's vertex lists and each column
-       is fancy-indexed **directly into the segment**
-       (``np.take(..., out=view)``); the plan's shards additionally get
-       zero-copy parent-side views as their ``block``, so no private copy
-       of the routed columns ever exists.
-    3. the shards' interaction objects — columnarised against one fresh
+    1. shard blocks already attached to the plan (``partition_network``
+       routes them with one vectorised fancy-index at partition time) —
+       copied column-wise into the segment, no membership recomputation.
+    2. the shards' interaction objects — columnarised against one fresh
        shared interner (the object-only path; slower, but keeps
-       ``run_shards(shared_memory=True)`` available without a network
-       block).
+       ``run_shards(shared_memory=True)`` available for hand-built plans
+       whose shards carry no block).
     """
-    from repro.runtime.partition import shard_row_positions
-
     shards = plan.shards
-    interner: Optional[VertexInterner] = None
-    positions: Optional[List[np.ndarray]] = None
-    shard_blocks: Optional[List[InteractionBlock]] = None
-
     if shards and all(shard.block is not None for shard in shards):
         shard_blocks = [shard.block for shard in shards]
         interner = shard_blocks[0].interner
-        row_counts = [len(b) for b in shard_blocks]
-    elif block is not None:
-        interner = block.interner
-        positions = shard_row_positions(plan, block)
-        row_counts = [len(p) for p in positions]
     else:
         interner = VertexInterner()
         shard_blocks = [
             InteractionBlock.from_interactions(shard.interactions, interner)
             for shard in shards
         ]
-        row_counts = [len(b) for b in shard_blocks]
+    row_counts = [len(b) for b in shard_blocks]
 
     handles, columns_end = _layout_blocks(row_counts)
     meta_bytes = pickle.dumps(
@@ -611,41 +591,13 @@ def build_shared_plan(plan, block: Optional[InteractionBlock] = None):
     segment = _create_segment(meta_offset + len(meta_bytes))
     segment.buf[meta_offset : meta_offset + len(meta_bytes)] = meta_bytes
 
-    lease = SegmentLease(segment)
-    for index, block_handle in enumerate(handles):
-        views = {
-            "src_ids": _ndarray(segment, block_handle.src, writable=True),
-            "dst_ids": _ndarray(segment, block_handle.dst, writable=True),
-            "times": _ndarray(segment, block_handle.times, writable=True),
-            "quantities": _ndarray(segment, block_handle.quantities, writable=True),
-        }
-        if positions is not None:
-            rows = positions[index]
-            np.take(block.src_ids, rows, out=views["src_ids"])
-            np.take(block.dst_ids, rows, out=views["dst_ids"])
-            np.take(block.times, rows, out=views["times"])
-            np.take(block.quantities, rows, out=views["quantities"])
-        else:
-            source = shard_blocks[index]
-            np.copyto(views["src_ids"], source.src_ids)
-            np.copyto(views["dst_ids"], source.dst_ids)
-            np.copyto(views["times"], source.times)
-            np.copyto(views["quantities"], source.quantities)
-        if positions is not None:
-            # Hand the plan pool-resident views (read-only) so parent-side
-            # consumers share the very same memory the workers read.
-            for name in views:
-                view = views[name][:]
-                view.flags.writeable = False
-                views[name] = view
-            shards[index].block = InteractionBlock(
-                views["src_ids"],
-                views["dst_ids"],
-                views["times"],
-                views["quantities"],
-                interner,
-                owner=lease,
-            )
+    for block_handle, source in zip(handles, shard_blocks):
+        np.copyto(_ndarray(segment, block_handle.src, writable=True), source.src_ids)
+        np.copyto(_ndarray(segment, block_handle.dst, writable=True), source.dst_ids)
+        np.copyto(_ndarray(segment, block_handle.times, writable=True), source.times)
+        np.copyto(
+            _ndarray(segment, block_handle.quantities, writable=True), source.quantities
+        )
 
     handle = PlanHandle(
         segment=segment.handle,
@@ -835,21 +787,20 @@ class _StreamSession:
         self.leases = [SegmentLease(segment) for segment in self.segments]
         self.layout = message.layout
         self.capacity = message.capacity
+        base = pickle.loads(message.base)
         self.interner = VertexInterner()
-        self.interner.restore(list(message.table))
-        policy = message.policy
+        self.interner.restore(list(base["table"]))
+        policy = base["policy"]
         self.policy = policy
         engine = ProvenanceEngine(policy)
-        if message.resume is not None:
-            # The policy arrives carrying its checkpointed state; only the
+        if "universe" in base:
+            policy.reset(base["universe"])
+        else:
+            # The policy arrives carrying its committed state; only the
             # engine counters need restoring, exactly like
             # ``engine_from_checkpoint`` on the single-consumer path.
-            engine._interactions_processed = int(
-                message.resume.get("interactions_processed", 0)
-            )
-            engine._last_time = message.resume.get("current_time")
-        else:
-            policy.reset(message.universe)
+            engine._interactions_processed = int(base["interactions_processed"])
+            engine._last_time = base["current_time"]
         self.engine = engine
         self.run = engine.stream_run(
             sample_every=message.sample_every, kernel=message.kernel
@@ -878,13 +829,20 @@ class _StreamSession:
         self.batches += 1
         return rows
 
-    def state_snapshot(self) -> dict:
-        """Picklable per-shard checkpoint state (policy pickles via its
-        ``__getstate__``, which flushes columnar mirrors first)."""
+    def commit(self) -> Tuple[bytes, int]:
+        """The session's checkpoint state, pickled once, and its processed
+        count.
+
+        The bytes are a recovery base (``StreamOpen.base``) that the parent
+        keeps opaque; it unpickles them only to write a checkpoint
+        manifest.  The policy pickles via its ``__getstate__``, which
+        flushes columnar mirrors first.
+        """
         state = self.engine.checkpoint_state()
         state["table"] = self.interner.snapshot()
         state["batches"] = self.batches
-        return state
+        state_bytes = pickle.dumps(state, protocol=_PROTOCOL)
+        return state_bytes, self.engine.interactions_processed
 
     def finish(self) -> ShardOutcome:
         statistics = self.run.finish()
@@ -922,7 +880,7 @@ def _execute_stream_message(kind: str, body: bytes, sessions: Dict[str, _StreamS
         return ("ack", task.stream_id, task.slot, rows)
     if kind == "stream_state":
         stream_id = pickle.loads(body)
-        return ("state", stream_id, sessions[stream_id].state_snapshot())
+        return sessions[stream_id].commit()
     if kind == "stream_finish":
         stream_id = pickle.loads(body)
         session = sessions.pop(stream_id)
@@ -1420,7 +1378,6 @@ def run_shards_shared(
     plan,
     policies: Sequence[SelectionPolicy],
     *,
-    block: Optional[InteractionBlock] = None,
     batch_size: int = 0,
     sample_every: int = 0,
     max_workers: Optional[int] = None,
@@ -1457,7 +1414,7 @@ def run_shards_shared(
     workers = min(len(plan.shards), max_workers or os.cpu_count() or 1)
     pool.ensure_workers(max(workers, 1))
 
-    segment, handle = build_shared_plan(plan, block)
+    segment, handle = build_shared_plan(plan)
     kind = segment.kind
     state_names = [_segment_name(f"s{index}") for index in range(len(plan.shards))]
     # Pre-declared result-segment names belong to the parent from the start:
@@ -1536,6 +1493,11 @@ def run_shards_shared(
 # ----------------------------------------------------------------------
 # the streaming fabric: rolling ring segments over the persistent pool
 # ----------------------------------------------------------------------
+#: Replay-buffer bytes per row: int32 source and destination ids, float64
+#: time and quantity.
+_ROW_BYTES = 24
+
+
 class ShardStreamFabric:
     """Partitioned streaming dispatch over rolling shared-memory segments.
 
@@ -1549,6 +1511,15 @@ class ShardStreamFabric:
     natural backpressure — the parent blocks (counting the stall) until an
     ack frees a slot, so a stream is never buffered more than
     ``ring × capacity`` rows per shard beyond the scheduler's own bound.
+
+    Supervision (``max_retries > 0``) keeps, per shard, a recovery base —
+    the pickled session state, held as opaque bytes — and copies of the
+    columns appended since; a lost worker is respawned and its sessions
+    re-open from their bases and replay the suffix.  A shard commits (its
+    worker sends its state, pickled, and the suffix it covers is dropped)
+    once the suffix's columns weigh as much as its last base.  The commit
+    request is sent like an append and its reply is adopted whenever it
+    arrives, so dispatch never waits on a commit.
 
     Lifecycle mirrors the batch fabric: every segment name (ring slots and
     per-shard result-state exports) is generated and registered by the
@@ -1570,7 +1541,6 @@ class ShardStreamFabric:
         result_timeout: float = 0.2,
         max_retries: int = 1,
         retry_backoff: float = 0.05,
-        commit_batches: int = 32,
         fault_stats: Optional[Dict[str, Any]] = None,
     ) -> None:
         if num_shards < 1:
@@ -1590,12 +1560,10 @@ class ShardStreamFabric:
         self._max_retries = max_retries
         self._retry_backoff = retry_backoff
         self._supervised = max_retries > 0
-        #: Replay buffers auto-commit (one per-shard state round-trip, which
-        #: truncates the buffer) every this many uncommitted batches, so
-        #: recovery memory stays bounded even without explicit checkpoints.
-        self._commit_batches = max(1, commit_batches)
         fault = fault_stats if fault_stats is not None else {}
-        for key in ("respawns", "retries", "replayed_batches", "commits"):
+        for key in (
+            "respawns", "retries", "replayed_batches", "commits", "commit_bytes"
+        ):
             fault.setdefault(key, 0)
         fault.setdefault("recovery_seconds", 0.0)
         self._fault = fault
@@ -1660,7 +1628,8 @@ class ShardStreamFabric:
             sum(1 for shard in range(num_shards) if shard % worker_count == index)
             for index in range(worker_count)
         ]
-        #: msg_id -> ("ack", shard, slot) | ("open"|"state"|"finish", shard)
+        #: msg_id -> ("ack", shard, slot) | ("commit", shard, ordinal) |
+        #: ("open"|"state"|"finish", shard)
         self._pending: Dict[int, Tuple] = {}
         self._done: Dict[int, Tuple] = {}
         self._inflight = 0
@@ -1674,14 +1643,22 @@ class ShardStreamFabric:
         self._dispatch_bytes = 0
         self._state_bytes = 0
         # -- supervision state --------------------------------------------
-        #: What to re-open each shard's session from after a worker loss:
-        #: initially the caller's ``open`` arguments, replaced by the
-        #: shard's committed state at every checkpoint/auto-commit.
-        self._open_base: List[Optional[dict]] = [None] * num_shards
+        #: What to re-open each shard's session from after a worker loss
+        #: (``StreamOpen.base`` bytes, never unpickled here): initially the
+        #: caller's ``open`` arguments, replaced by the shard's committed
+        #: state at every checkpoint/auto-commit.
+        self._base: List[Optional[bytes]] = [None] * num_shards
+        #: Batch ordinal the base covers (0: the open) and its engine count.
+        self._base_ordinal = [0] * num_shards
+        self._base_processed = [0] * num_shards
         #: Uncommitted appends per shard: ``(ordinal, src, dst, times,
         #: quantities, new_vertices)`` column copies, replayed verbatim
         #: after a re-open.  Truncated at every commit.
         self._replay: List[List[Tuple]] = [[] for _ in range(num_shards)]
+        #: Column bytes held in each replay buffer (``_ROW_BYTES`` per row).
+        self._replay_bytes = [0] * num_shards
+        #: Shards with an auto-commit request awaiting its reply.
+        self._committing = [False] * num_shards
         self._attempts = [0] * num_shards
         #: Resume offsets for statistics reconciliation: a session re-opened
         #: from a mid-run commit counts interactions like a *resumed* run
@@ -1839,9 +1816,11 @@ class ShardStreamFabric:
                 raise error
         # Discard everything addressed to the lost worker: buffered outbox
         # messages, un-acked appends (their ring slots come back below),
-        # pipelined opens, and pending state/finish requests — the latter
-        # are re-sent after the replay, aliased to their original ids so
-        # blocked waiters complete transparently.
+        # pipelined opens and auto-commits, and pending state/finish
+        # requests — the latter are re-sent after the replay, aliased to
+        # their original ids so blocked waiters complete transparently.  A
+        # dropped auto-commit is not re-sent: its shard's base and the full
+        # suffix after it are still held, and the next append asks again.
         self._outbox[worker_index] = []
         self._outbox_shards[worker_index] = set()
         redo: List[Tuple[int, Tuple]] = []
@@ -1854,6 +1833,8 @@ class ShardStreamFabric:
             original = self._alias.pop(msg_id, msg_id)
             if meta[0] == "ack":
                 self._inflight -= 1
+            elif meta[0] == "commit":
+                self._committing[meta[1]] = False
             elif meta[0] in ("state", "finish"):
                 redo.append((original, meta))
         for shard in shards:
@@ -1879,27 +1860,8 @@ class ShardStreamFabric:
 
     def _replay_shard(self, shard: int) -> None:
         """Re-open one shard's session and replay its uncommitted appends."""
-        base = self._open_base[shard]
-        resume = base["resume"]
-        self._session_start[shard] = (
-            int(resume["interactions_processed"]) if resume else 0
-        )
-        message = StreamOpen(
-            stream_id=self._stream_ids[shard],
-            shard_index=shard,
-            policy=base["policy"],
-            universe=base["universe"],
-            table=base["table"],
-            ring=tuple(segment.handle for segment in self._segments[shard]),
-            layout=self._layout,
-            capacity=self.capacity,
-            sample_every=self._sample_every,
-            kernel=self._kernel,
-            state_kind=self._kind,
-            state_name=self._state_names[shard],
-            resume=base["resume"],
-        )
-        self._send(shard, "stream_open", message, ("open", shard))
+        self._session_start[shard] = self._base_processed[shard]
+        self._send_open(shard, self._base[shard])
         free = self._free[shard]
         for entry in self._replay[shard]:
             ordinal, src_ids, dst_ids, times, quantities, new_vertices = entry
@@ -1927,39 +1889,46 @@ class ShardStreamFabric:
             self._inflight += 1
             self._fault["replayed_batches"] += 1
 
-    def _commit_shard(self, shard: int, state: dict) -> None:
-        """Adopt a shard's snapshot as its new recovery base (offset commit).
+    def _commit_shard(
+        self, shard: int, ordinal: int, state: bytes, processed: int
+    ) -> None:
+        """Adopt a shard's state as its new recovery base (offset commit).
 
-        Everything before the snapshot is durable in ``state`` (policy +
-        engine counters + session vertex table), so the replay buffer
-        truncates: recovery replays only what came after, exactly the
-        semantics of resuming from a committed source offset.
+        ``state`` covers every batch up to ``ordinal`` (policy + engine
+        counters + session vertex table), so the replay buffer truncates
+        up to it: recovery replays only what came after, exactly the
+        semantics of resuming from a committed source offset.  A commit
+        older than the current base is ignored.
         """
-        self._open_base[shard] = {
-            "policy": state["policy"],
-            "universe": (),
-            "table": tuple(state["table"]),
-            "resume": {
-                "interactions_processed": state["interactions_processed"],
-                "current_time": state["current_time"],
-            },
-        }
-        self._replay[shard].clear()
+        if ordinal <= self._base_ordinal[shard]:
+            return
+        self._base[shard] = state
+        self._base_ordinal[shard] = ordinal
+        self._base_processed[shard] = processed
+        replay = self._replay[shard]
+        covered = 0
+        while covered < len(replay) and replay[covered][0] <= ordinal:
+            covered += 1
+        del replay[:covered]
+        self._replay_bytes[shard] = _ROW_BYTES * sum(len(entry[1]) for entry in replay)
         self._fault["commits"] += 1
+        self._fault["commit_bytes"] += len(state)
 
     def _autocommit(self, shard: int) -> None:
-        """Bound a shard's replay buffer with a synchronous state round-trip.
+        """Ask for a shard's state without waiting for it (a pipelined
+        commit).
 
-        If the worker dies while we wait, recovery redirects the request to
-        the respawned session and the reply reflects the replayed stream —
-        so the commit is correct even when it races the crash it guards
-        against.
+        The worker's task queue is FIFO, so the reply covers exactly the
+        batches queued to the shard so far; ``_service`` adopts it when it
+        arrives.  If the worker dies first, recovery drops the request.
         """
-        msg_id = self._send(
-            shard, "stream_state", self._stream_ids[shard], ("state", shard)
+        self._committing[shard] = True
+        self._send(
+            shard,
+            "stream_state",
+            self._stream_ids[shard],
+            ("commit", shard, self._batches[shard]),
         )
-        payload = self._service(wait_for=msg_id)
-        self._commit_shard(shard, payload[2])
 
     def _service(self, *, wait_for: Optional[int] = None, block: bool = False):
         """Drain worker replies; frees ring slots as acks arrive.
@@ -2003,6 +1972,10 @@ class ShardStreamFabric:
                     _tag, shard, slot = meta
                     self._free[shard].append(slot)
                     self._inflight -= 1
+                elif meta[0] == "commit":
+                    _tag, shard, ordinal = meta
+                    self._committing[shard] = False
+                    self._commit_shard(shard, ordinal, *sub_result)
                 elif meta[0] == "open":
                     pass  # opens are pipelined; the reply is flow-control only
                 else:
@@ -2028,12 +2001,32 @@ class ShardStreamFabric:
         the next reply drain (the worker replies ``error``).
         """
         self._known[shard] = len(table)
+        state: Dict[str, Any] = {"policy": policy, "table": tuple(table)}
+        if resume is None:
+            state["universe"] = tuple(universe)
+        else:
+            state["interactions_processed"] = int(resume["interactions_processed"])
+            state["current_time"] = resume["current_time"]
+        base = pickle.dumps(state, protocol=_PROTOCOL)
+        if self._supervised:
+            # Until the first commit a lost session re-opens from exactly
+            # these arguments.
+            self._base[shard] = base
+            processed = state.get("interactions_processed", 0)
+            self._initial_processed[shard] = processed
+            self._session_start[shard] = processed
+            self._base_processed[shard] = processed
+        # Marked opened BEFORE the send: if the flush trips over a dead
+        # worker, recovery must know this shard's session needs replaying.
+        self._opened[shard] = True
+        self._send_open(shard, base)
+
+    def _send_open(self, shard: int, base: bytes) -> None:
+        """Queue a :class:`StreamOpen` of ``shard``'s session from ``base``."""
         message = StreamOpen(
             stream_id=self._stream_ids[shard],
             shard_index=shard,
-            policy=policy,
-            universe=tuple(universe),
-            table=tuple(table),
+            base=base,
             ring=tuple(segment.handle for segment in self._segments[shard]),
             layout=self._layout,
             capacity=self.capacity,
@@ -2041,24 +2034,7 @@ class ShardStreamFabric:
             kernel=self._kernel,
             state_kind=self._kind,
             state_name=self._state_names[shard],
-            resume=resume,
         )
-        if self._supervised:
-            # Recovery base: the parent-side policy object is never mutated
-            # (workers run on their own unpickled copy), so until the first
-            # commit a lost session re-opens from exactly these arguments.
-            self._open_base[shard] = {
-                "policy": policy,
-                "universe": tuple(universe),
-                "table": tuple(table),
-                "resume": resume,
-            }
-            processed = int(resume["interactions_processed"]) if resume else 0
-            self._initial_processed[shard] = processed
-            self._session_start[shard] = processed
-        # Marked opened BEFORE the send: if the flush trips over a dead
-        # worker, recovery must know this shard's session needs replaying.
-        self._opened[shard] = True
         self._send(shard, "stream_open", message, ("open", shard))
 
     def append(
@@ -2123,11 +2099,20 @@ class ShardStreamFabric:
                     new_vertices,
                 )
             )
+            self._replay_bytes[shard] += _ROW_BYTES * rows
         self._send(shard, "stream_append", task, ("ack", shard, slot))
         self._inflight += 1
         self._batches[shard] += 1
         self._interactions[shard] += rows
-        if self._supervised and len(self._replay[shard]) >= self._commit_batches:
+        # Commit once the uncommitted columns weigh as much as the state
+        # that would replace them: total commit bytes stay within
+        # ``_ROW_BYTES`` per row plus one final state, and the replay
+        # buffer within about one state.
+        if (
+            self._supervised
+            and not self._committing[shard]
+            and self._replay_bytes[shard] >= len(self._base[shard])
+        ):
             self._autocommit(shard)
 
     def barrier(self) -> None:
@@ -2157,18 +2142,16 @@ class ShardStreamFabric:
                 )
             )
         states: List[Optional[dict]] = []
-        for msg_id in waits:
+        for shard, msg_id in enumerate(waits):
             if msg_id is None:
                 states.append(None)
                 continue
-            payload = self._service(wait_for=msg_id)
-            states.append(payload[2])
-        if self._supervised:
-            # A checkpoint IS a commit: everything in these states is
-            # durable, so recovery never needs to replay past them.
-            for shard, state in enumerate(states):
-                if state is not None:
-                    self._commit_shard(shard, state)
+            state, processed = self._service(wait_for=msg_id)
+            if self._supervised:
+                # A checkpoint IS a commit: everything in this state is
+                # durable, so recovery never needs to replay past it.
+                self._commit_shard(shard, self._batches[shard], state, processed)
+            states.append(pickle.loads(state))
         return states
 
     def finish(self) -> Tuple[List[ShardOutcome], Dict[str, Any]]:

@@ -263,9 +263,9 @@ def test_auto_kernel_is_fused(network):
 
 
 def test_kernel_stats_shape(network):
-    fused = Runner(run_config(
-        network, "noprov", "dict", columnar=True, kernel="fused",
-        sample_every=97,
+    fused = Runner(RunConfig(
+        dataset=network, policy="noprov", store="dict", columnar=True,
+        kernel="fused", sample_every=97,
     )).run()
     stats = fused.kernel_stats
     assert set(stats) == {"mode", "backend", "chunks", "compile_seconds"}
@@ -351,12 +351,12 @@ def test_cli_kernel_flag(capsys):
 
     assert main([
         "run", "--dataset", "taxis", "--scale", "0.02",
-        "--policy", "noprov", "--kernel", "fused",
+        "--policy", "noprov", "--kernel", "fused", "--store", "dict",
     ]) == 0
     out = capsys.readouterr().out
     assert "kernel fused: backend" in out
     assert main([
         "run", "--dataset", "taxis", "--scale", "0.02",
-        "--policy", "noprov", "--kernel", "batch",
+        "--policy", "noprov", "--kernel", "batch", "--store", "dict",
     ]) == 0
     assert "kernel batch" in capsys.readouterr().out

@@ -37,8 +37,11 @@ def snapshot_dict(result):
 
 
 def fused_run(network, policy_name):
+    # Kernels serve the dict and dense stores only; pin the dict store so a
+    # session default (REPRO_DEFAULT_STORE) cannot route around them.
     return Runner(RunConfig(
-        dataset=network, policy=policy_name, columnar=True, kernel="fused"
+        dataset=network, policy=policy_name, store="dict", columnar=True,
+        kernel="fused",
     )).run()
 
 

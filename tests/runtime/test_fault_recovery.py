@@ -27,10 +27,11 @@ import pytest
 from repro.core.checkpoint import read_checkpoint, save_checkpoint_state
 from repro.datasets.catalog import load_preset
 from repro.exceptions import CheckpointCorruptedError, SegmentAllocationError
-from repro.policies.registry import available_policies
+from repro.policies.registry import available_policies, make_policy
 from repro.runtime import FaultPlan, RunConfig, Runner, fault_plan
 from repro.runtime import shm as shm_mod
 from repro.runtime.faults import FaultState, install, clear
+from repro.runtime.partition import partition_network, shard_row_positions
 from repro.stores import StoreSpec
 
 #: Structural parameters for the policies whose constructors require them.
@@ -335,6 +336,115 @@ def test_stream_mid_checkpoint_kill_recovers(network, tmp_path):
         ).run()
     assert recovered.fault_stats["respawns"] >= 1
     assert_equivalent(clean, recovered)
+
+
+# ----------------------------------------------------------------------
+# streaming fabric: kills between auto-commits of a long stream
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kill_at_batch", [33, 70])
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("policy_name", ["fifo", "lrb", "proportional-dense", "noprov"])
+def test_stream_kill_after_commits_recovers(network, policy_name, store, kill_at_batch):
+    """Four-row micro-batches give each shard ~96 batches, so auto-commits
+    fire mid-stream.  A kill then re-opens the session from a committed
+    state (or, if that commit was still in flight, from the one before)
+    and replays only the suffix, bit-identically."""
+    clean = Runner(stream_config(network, policy_name, store, micro_batch=4)).run()
+    with fault_plan(FaultPlan(kill_shard=1, kill_at_batch=kill_at_batch)):
+        recovered = Runner(
+            stream_config(network, policy_name, store, micro_batch=4)
+        ).run()
+    assert recovered.fault_stats["commits"] >= 1
+    assert recovered.fault_stats["respawns"] >= 1
+    assert recovered.to_dict()["faults"]["commit_bytes"] > 0
+    assert_equivalent(clean, recovered)
+    assert our_segment_names() == []
+
+
+def fabric_stream(network, capacity, on_open=None):
+    """Stream ``network`` through a 2-shard fifo fabric (hash routing), one
+    batch per shard in turn.  ``on_open(fabric)`` runs before the first
+    append.  Returns the outcomes, the fault stats and each shard's final
+    committed state size."""
+    block = network.to_block()
+    plan = partition_network(network, 2, mode="hash", block=block)
+    positions = shard_row_positions(plan, block)
+    table = block.interner.vertices
+    fault = {}
+    fabric = shm_mod.ShardStreamFabric(
+        2, capacity=capacity, retry_backoff=0.0, fault_stats=fault
+    )
+    try:
+        for shard, plan_shard in enumerate(plan.shards):
+            fabric.open(shard, make_policy("fifo"), plan_shard.universe(), table)
+        if on_open is not None:
+            on_open(fabric)
+        for start in range(0, max(len(pos) for pos in positions), capacity):
+            for shard, pos in enumerate(positions):
+                rows = pos[start : start + capacity]
+                fabric.append(
+                    shard,
+                    block.src_ids[rows],
+                    block.dst_ids[rows],
+                    block.times[rows],
+                    block.quantities[rows],
+                    table,
+                )
+        outcomes, _stats = fabric.finish()
+    except BaseException:
+        fabric.abort()
+        raise
+    # Every commit request is answered before its shard's finish reply.
+    return outcomes, fault, [len(base) for base in fabric._base]
+
+
+def outcome_answers(outcome):
+    policy = outcome.policy
+    origins = {
+        vertex: policy.origins(vertex).as_dict() for vertex in policy.tracked_vertices()
+    }
+    return outcome.statistics.interactions, origins
+
+
+def test_commit_bytes_bounded_by_columns_plus_final_state():
+    """A shard commits once its uncommitted columns (24 B a row) weigh as
+    much as its last committed state, so every commit but the last is paid
+    for by that many column bytes: the total stays within 24 B per row plus
+    each shard's final committed state."""
+    network = load_preset("taxis", scale=0.5)
+    outcomes, fault, final_states = fabric_stream(network, 64)
+    rows = sum(outcome.statistics.interactions for outcome in outcomes)
+    assert rows == len(network.to_block())
+    assert fault["commits"] >= 1
+    assert fault["commit_bytes"] <= 24 * rows + sum(final_states)
+    assert our_segment_names() == []
+
+
+def test_kill_with_commit_in_flight_recovers(network):
+    """A worker that dies with a commit request queued behind the append
+    that kills it never answers it: the commit is dropped, the session
+    re-opens from its previous base and replays the whole suffix."""
+    clean, _fault, _states = fabric_stream(network, 4)
+    armed = []
+
+    def arm(fabric):
+        # Shard 1 asks for its first commit right after the append that
+        # brings its replay columns (24 B a row, 4 rows a batch) to the size
+        # of its open state; that append kills the worker.
+        first_commit = -(-len(fabric._base[1]) // (24 * 4))
+        install(FaultPlan(kill_shard=1, kill_at_batch=first_commit))
+        armed.append(first_commit)
+
+    try:
+        recovered, fault, _states = fabric_stream(network, 4, on_open=arm)
+    finally:
+        clear()
+    assert fault["respawns"] == 1
+    # Replayed from the open, not from the dropped commit.
+    assert fault["replayed_batches"] >= armed[0]
+    assert fault["commits"] >= 1
+    assert list(map(outcome_answers, recovered)) == list(map(outcome_answers, clean))
+    assert our_segment_names() == []
 
 
 # ----------------------------------------------------------------------

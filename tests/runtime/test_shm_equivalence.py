@@ -366,37 +366,45 @@ def test_dense_store_adopt_without_growth_stays_zero_copy():
 def test_plan_segment_round_trip(network):
     """build_shared_plan -> attach_block reproduces every shard bit for bit.
 
-    Covers both parent-side sources: a blockless plan routed from the
-    network block (positions fancy-indexed straight into the segment, the
-    plan gaining pool-resident views) and a plan whose shards already
-    carry routed blocks (column-wise copy, no membership recomputation).
+    Covers both parent-side sources: a plan whose shards carry routed
+    blocks (column-wise copy into the segment, the network's vertex table)
+    and a hand-built plan whose shards carry only interactions
+    (columnarised against a fresh interner, so rows are compared by vertex
+    label).
     """
     block = network.to_block()
     routed = partition_network(network, 3, mode="hash", block=block)
-    reference = [shard.block for shard in routed.shards]
-    blockless = partition_network(network, 3, mode="hash", block=block)
-    blockless.shards = [
+    objects = partition_network(network, 3, mode="hash", block=block)
+    objects.shards = [
         Shard(shard.index, shard.vertices, interactions=shard.interactions)
-        for shard in blockless.shards
+        for shard in objects.shards
     ]
-    for source_plan, source_block in (
-        (blockless, block),  # positions path
-        (routed, None),  # pre-routed shard blocks path
-    ):
-        segment, handle = shm_mod.build_shared_plan(source_plan, source_block)
+    for source_plan in (routed, objects):
+        segment, handle = shm_mod.build_shared_plan(source_plan)
         try:
             attached = shm_mod._AttachedPlan(handle)
-            assert attached.table == block.interner.vertices
-            for index, shard in enumerate(source_plan.shards):
+            if source_plan is routed:
+                assert attached.table == block.interner.vertices
+            for index, shard in enumerate(routed.shards):
                 view = shm_mod.attach_block(attached, handle.blocks[index])
-                assert np.array_equal(view.src_ids, reference[index].src_ids)
-                assert np.array_equal(view.dst_ids, reference[index].dst_ids)
-                assert np.array_equal(view.times, reference[index].times)
-                assert np.array_equal(view.quantities, reference[index].quantities)
                 assert not view.src_ids.flags.writeable
-                if source_block is not None:
-                    # Positions routing hands the plan pool-resident views.
-                    assert shard.block.owner is not None
+                rows = list(
+                    zip(
+                        [attached.table[i] for i in view.src_ids],
+                        [attached.table[i] for i in view.dst_ids],
+                        view.times.tolist(),
+                        view.quantities.tolist(),
+                    )
+                )
+                assert rows == [
+                    (i.source, i.destination, i.time, i.quantity)
+                    for i in shard.interactions
+                ]
+                if source_plan is routed:
+                    assert np.array_equal(view.src_ids, shard.block.src_ids)
+                    assert np.array_equal(view.dst_ids, shard.block.dst_ids)
+                    assert np.array_equal(view.times, shard.block.times)
+                    assert np.array_equal(view.quantities, shard.block.quantities)
             attached.segment.close_quietly()
         finally:
             segment.unlink()
