@@ -5,15 +5,16 @@ dense proportional policy, and the four entry-based policies (lrb/mrb/fifo/
 lifo) — over preset datasets in nine configurations:
 
 * ``batch_size=1`` (equivalent to the seed engine loop),
-* the default batched ``process_many`` path,
+* the network's interaction objects in batches
+  (``engine.run(network.interactions, batch_size=...)``),
 * the explicit micro-batch scheduler (the path single-consumer streaming
   runs take),
-* the columnar block path (``columnar=True, kernel="batch"``: interned-id
-  arrays driven through ``process_block`` in fixed-size chunks),
-* the fused kernel tier (``columnar=True, kernel="fused"``: whole clip
-  spans through ``process_run`` — compiled backend when one resolves,
-  pure-numpy fused otherwise; backend compilation happens outside the
-  timed region),
+* the numpy rung of the fused ladder (``engine.run(block)`` with compiled
+  backends off, as under ``REPRO_JIT=0``: interned-id arrays driven
+  through ``process_run`` over whole clip spans),
+* the fused kernel tier (the same block run with the compiled backend
+  that resolves, the numpy rung again when none does; backend compilation
+  happens outside the timed region),
 * hash-sharded over a pickled process pool (``shard_executor=processes``),
 * hash-sharded over the zero-copy shared-memory shard fabric
   (``shared_memory=True``: shard columns live in shared segments, a
@@ -45,7 +46,7 @@ with::
 
 Pass ``--store sqlite`` to measure the spill backend instead of the
 in-memory dicts (the speedup gates are skipped there: the point of the
-spill backend is feasibility, not throughput; columnar runs fall back to
+spill backend is feasibility, not throughput; block runs fall back to
 the materialising adapter on it).
 """
 
@@ -56,6 +57,8 @@ import gc
 import json
 import platform
 from pathlib import Path
+
+from bench_kernels import engine_tier
 
 from repro.datasets.catalog import load_preset
 from repro.runtime import DEFAULT_BATCH_SIZE, RunConfig, Runner, fork_payload_bytes
@@ -141,12 +144,13 @@ def bench_config(network, policy_name: str, store, batch_size: int, configuratio
         policy=policy_name,
         batch_size=1 if configuration == "per_interaction" else batch_size,
         micro_batch=batch_size if configuration == "micro_batch_scheduler" else None,
-        columnar=configuration in ("columnar", "fused"),
-        # "columnar" keeps the historical per-chunk loop so its column's
-        # meaning is stable across bench records; "fused" is the new tier.
-        kernel="fused" if configuration == "fused" else "batch",
         store=store,
     )
+
+
+#: Configurations driven straight through the engine (see
+#: ``bench_kernels.engine_tier``): the drive follows from the input.
+ENGINE_TIERS = ("batched", "columnar", "fused")
 
 
 def timed_run(network, policy_name: str, store, batch_size: int, configuration: str):
@@ -156,6 +160,8 @@ def timed_run(network, policy_name: str, store, batch_size: int, configuration: 
     partition plan is built before the timed region starts (the reported
     ``elapsed_seconds`` covers shard execution only).
     """
+    if configuration in ENGINE_TIERS:
+        return engine_tier(network, policy_name, batch_size, configuration, store)
     config = bench_config(network, policy_name, store, batch_size, configuration)
     gc_was_enabled = gc.isenabled()
     gc.collect()
@@ -401,29 +407,28 @@ def main() -> int:
     if slower:
         print("FAIL: batched path not faster for:", [r["policy"] for r in slower])
         failures.append("batched")
-    # CI gate: the columnar kernel must beat eager batching on noprov — the
-    # policy whose kernel is pure representation win, with no numpy-call
-    # floor to hide behind.
+    # CI gate: the numpy rung of the fused ladder must beat object batching
+    # on noprov — the policy whose kernel is pure representation win, with
+    # no numpy-call floor to hide behind.
     columnar_slower = [
         r for r in records
         if r["policy"] == "noprov" and r["columnar_vs_batched"] <= 1.0
     ]
     if columnar_slower:
         print(
-            "FAIL: columnar path not faster than batched on noprov for:",
+            "FAIL: numpy fused rung not faster than batched on noprov for:",
             [r["dataset"] for r in columnar_slower],
         )
         failures.append("columnar")
-    # CI gate: the fused tier must beat the per-chunk columnar loop on
-    # noprov — whatever backend resolved (compiled or pure), fusing the
-    # drive loop must never cost throughput.
+    # CI gate: the compiled fused kernel must beat the numpy rung on
+    # noprov.
     fused_slower = [
         r for r in records
         if r["policy"] == "noprov" and r["fused_vs_columnar"] <= 1.0
     ]
     if fused_slower:
         print(
-            "FAIL: fused kernel not faster than columnar on noprov for:",
+            "FAIL: fused kernel not faster than the numpy rung on noprov for:",
             [r["dataset"] for r in fused_slower],
         )
         failures.append("fused")

@@ -1,22 +1,23 @@
-"""Fused-kernel benchmark: whole-run kernels vs the per-chunk columnar loop.
+"""Fused-kernel benchmark: whole-run kernels vs object batches and the numpy rung.
 
 Measures, per policy family with a columnar kernel, three execution tiers
-over preset datasets:
+over preset datasets, each driven straight through the engine:
 
-* ``batched`` — the eager ``process_many`` path (``columnar=False``),
-* ``columnar`` — the per-chunk columnar loop (``columnar=True,
-  kernel="batch"``: fixed-size ``process_block`` chunks),
-* ``fused`` — the whole-run kernel tier (``columnar=True,
-  kernel="fused"``: the entire clip span runs inside one
-  ``process_run`` call; compiled backend when one resolves, pure-numpy
-  fused otherwise).
+* ``batched`` — the network's interaction objects in batches
+  (``engine.run(network.interactions, batch_size=...)``),
+* ``columnar`` — the numpy rung of the fused ladder: the network's block
+  (``engine.run(block)``) with compiled backends off, as under
+  ``REPRO_JIT=0``,
+* ``fused`` — the same block run with the compiled backend that resolves
+  (numba, else cc; the numpy rung again when neither does): the entire
+  clip span runs inside one ``process_run`` call.
 
 and writes a ``BENCH_kernel_fusion.json`` record with seconds,
 interactions per second and the fused-vs-columnar / fused-vs-batched
 ratios, plus the backend that actually served each fused run and its
-compile time (always measured outside the timed region — the engine calls
-``prepare_fused`` before its run timer starts, and this harness resolves
-every kernel once before any timed round).  Tiers are measured in
+compile time (always measured outside the timed region — the engine
+resolves the backend before its run timer starts, and this harness
+resolves every kernel once before any timed round).  Tiers are measured in
 interleaved rounds (round-robin over tiers, best of ``--repeats``) with
 the garbage collector paused inside the timed region.
 
@@ -44,14 +45,18 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import platform
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.core import kernels
 from repro.core.checkpoint import save_engine
+from repro.core.engine import ProvenanceEngine
 from repro.datasets.catalog import load_preset
-from repro.runtime import DEFAULT_BATCH_SIZE, RunConfig, Runner
+from repro.runtime import DEFAULT_BATCH_SIZE, RunConfig, Runner, build_policy
 
 #: (policy, dataset) pairs measured.  The compiled-kernel policies run on
 #: every preset where they are feasible; the entry-based families ride on
@@ -88,33 +93,54 @@ CHECKPOINT_STORES = ("dict", "dense", "mmap")
 CHECKPOINT_CASE = ("proportional-dense", "taxis")
 
 
-def tier_config(
-    network, policy_name: str, batch_size: int, tier: str, store=None
-) -> RunConfig:
-    if tier == "batched":
-        return RunConfig(
-            dataset=network, policy=policy_name, batch_size=batch_size,
-            columnar=False, store=store,
-        )
-    return RunConfig(
-        dataset=network, policy=policy_name, batch_size=batch_size,
-        columnar=True, kernel="batch" if tier == "columnar" else "fused",
-        store=store,
+@contextmanager
+def compiled_backends_off():
+    """The numpy rung of the fused ladder: compiled backends disabled exactly
+    as ``REPRO_JIT=0`` disables them, then re-resolved on exit."""
+    previous = os.environ.get("REPRO_JIT")
+    os.environ["REPRO_JIT"] = "0"
+    kernels.reset()
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_JIT", None)
+        else:
+            os.environ["REPRO_JIT"] = previous
+        kernels.reset()
+
+
+def engine_tier(network, policy_name: str, batch_size: int, tier: str, store=None):
+    """One engine run of one tier; ``(seconds, result)``.
+
+    ``batched`` feeds the network's interaction objects, every other tier
+    its block (``columnar`` with compiled backends off).  The policy is
+    built and reset with the network's universe outside the timed region,
+    and the collector is paused inside it.
+    """
+    policy = build_policy(
+        RunConfig(dataset=network, policy=policy_name, store=store), network
     )
-
-
-def timed_run(network, policy_name: str, batch_size: int, tier: str, store=None):
-    """One run of one tier with the collector paused; ``(seconds, result)``."""
-    config = tier_config(network, policy_name, batch_size, tier, store)
+    policy.reset(network.vertices)
+    engine = ProvenanceEngine(policy)
+    if tier == "batched":
+        source, options = network.interactions, {"batch_size": batch_size}
+    else:
+        source, options = network.to_block(), {}
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        result = Runner(config).run()
-        return result.statistics.elapsed_seconds, result
+        if tier == "columnar":
+            with compiled_backends_off():
+                statistics = engine.run(source, reset=False, **options)
+        else:
+            statistics = engine.run(source, reset=False, **options)
     finally:
         if gc_was_enabled:
             gc.enable()
+    result = SimpleNamespace(statistics=statistics, kernel_stats=engine.kernel_stats())
+    return statistics.elapsed_seconds, result
 
 
 def case_tiers(policy_name: str):
@@ -133,7 +159,7 @@ def measure_case(network, policy_name: str, batch_size: int, repeats: int):
     network.to_block()  # columnar conversion happens outside every round
     for _ in range(repeats):
         for tier, store in tiers.items():
-            seconds, result = timed_run(
+            seconds, result = engine_tier(
                 network, policy_name, batch_size, tier, store
             )
             if seconds < best[tier]:
@@ -191,7 +217,7 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5, help="runs per tier")
     parser.add_argument(
         "--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-        help="batch size of the batched/columnar tiers",
+        help="batch size of the batched tier",
     )
     parser.add_argument(
         "--output", type=Path,
@@ -293,15 +319,15 @@ def main() -> int:
     print(f"\nwrote {args.output}")
 
     failures = []
-    # CI gate: fusing the drive loop must never cost throughput on noprov,
-    # whatever backend resolved.
+    # CI gate: the compiled fused kernel must beat the numpy rung on
+    # noprov.
     fused_slower = [
         r for r in records
         if r["policy"] == "noprov" and r["fused_vs_columnar"] <= 1.0
     ]
     if fused_slower:
         print(
-            "FAIL: fused tier not faster than columnar on noprov for:",
+            "FAIL: fused kernel not faster than the numpy rung on noprov for:",
             [r["dataset"] for r in fused_slower],
         )
         failures.append("fused")

@@ -24,7 +24,17 @@ def test_table7_policy_runtimes(benchmark, bench_scale, report):
     if resolve_store_spec(None).backend != "dict":
         return
 
-    by_dataset = {row["dataset"]: row for row in table7.rows}
+    # One round times each run once, tens of milliseconds each, below the
+    # noise of a shared machine: each (dataset, policy) pair is judged by
+    # its best of three rounds.
+    best = {(result.dataset, result.policy): result for result in results}
+    for _ in range(2):
+        for result in policy_comparison(scale=bench_scale):
+            key = (result.dataset, result.policy)
+            if result.feasible and result.runtime_seconds < best[key].runtime_seconds:
+                best[key] = result
+    best_table = table7_runtime(results=list(best.values()))
+    by_dataset = {row["dataset"]: row for row in best_table.rows}
     for dataset, row in by_dataset.items():
         noprov = row["no-provenance"]
         # NoProv is the cheapest policy on every dataset (paper Table 7).

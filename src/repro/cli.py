@@ -95,20 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="interactions per process_many() batch (0 or 1: per-interaction)",
     )
     run_parser.add_argument(
-        "--columnar", action=argparse.BooleanOptionalAction, default=None,
-        help="columnar fast path: drive the policy over interned-id array "
-        "blocks (--columnar forces it, --no-columnar disables it; default: "
-        "automatic whenever the policy has an array kernel for its store "
-        "backend). Results are bit-identical either way.",
-    )
-    run_parser.add_argument(
-        "--kernel", choices=("auto", "fused", "batch"), default="auto",
-        help="columnar execution tier: 'auto'/'fused' run whole-run fused "
-        "kernels (compiled backend when available, pure numpy otherwise), "
-        "'batch' keeps the per-chunk columnar loop. Results are "
-        "bit-identical across tiers.",
-    )
-    run_parser.add_argument(
         "--stream", action="store_true",
         help="stream CSV datasets lazily instead of loading them into memory",
     )
@@ -295,8 +281,6 @@ def _command_run(args: argparse.Namespace) -> int:
     config = RunConfig(
         dataset=args.dataset,
         scale=args.scale,
-        columnar=args.columnar,
-        kernel=args.kernel,
         stream=args.stream,
         follow=args.follow,
         micro_batch=args.micro_batch,
@@ -368,8 +352,8 @@ def _command_run(args: argparse.Namespace) -> int:
     if result.kernel_stats is not None:
         kern = result.kernel_stats
         line = (
-            f"kernel {kern['mode']}: backend {kern['backend']}, "
-            f"{kern['chunks']} chunk{'s' if kern['chunks'] != 1 else ''}"
+            f"fused kernel: backend {kern['backend']}, "
+            f"{kern['chunks']} span{'s' if kern['chunks'] != 1 else ''}"
         )
         if kern["compile_seconds"]:
             line += f", compile {kern['compile_seconds']:.3f}s (outside timed region)"

@@ -39,12 +39,6 @@ __all__ = [
     "InteractionObserver",
 ]
 
-#: Rows per kernel invocation on the columnar block path.  Array kernels
-#: amortise their per-slice setup (column ``tolist``, touched updates) over
-#: much larger slices than object batching needs; sampling, peak-check and
-#: checkpoint boundaries still clip slices exactly.
-_COLUMNAR_CHUNK = 8192
-
 #: Observers are called after every processed interaction with the engine,
 #: the interaction, and its zero-based position in the stream.
 InteractionObserver = Callable[["ProvenanceEngine", Interaction, int], None]
@@ -54,6 +48,12 @@ InteractionObserver = Callable[["ProvenanceEngine", Interaction, int], None]
 #: doubling of that position (2048, 4096, ...), so a run of n interactions
 #: pays only O(log n) ``entry_count()`` calls for peak tracking.
 _PEAK_CHECK_START = 1024
+
+#: Fused backends that make columnarising scheduler batches pay: a compiled
+#: loop wins back the per-batch object-to-array conversion, the pure-numpy
+#: rung does not (scheduled fifo, lrb and compiler-less noprov ran slower
+#: columnarised than through ``process_many``).
+_COMPILED_BACKENDS = ("cc", "numba")
 
 
 @dataclass
@@ -132,18 +132,31 @@ class ProvenanceEngine:
         scheduler: Optional["MicroBatchScheduler"] = None,
         checkpoint_every: int = 0,
         on_checkpoint: Optional[Callable[["ProvenanceEngine", int], None]] = None,
-        columnar: Optional[bool] = None,
-        kernel: str = "auto",
     ) -> RunStatistics:
         """Process a whole interaction stream and return run statistics.
+
+        The drive follows from the input; every drive is bit-identical to
+        stepping one interaction at a time:
+
+        * an :class:`~repro.core.blocks.InteractionBlock`, or a network
+          whose policy has a columnar kernel on a batched run, runs fused
+          clip spans through :meth:`SelectionPolicy.process_run`;
+        * scheduler batches are columnarised only when the policy's fused
+          backend is compiled (``cc`` or ``numba``); otherwise they go
+          through :meth:`SelectionPolicy.process_many`;
+        * ``batch_size <= 1`` and registered observers step one
+          interaction at a time, because observers must see the policy
+          state after every single interaction.
 
         Parameters
         ----------
         source:
             A :class:`TemporalInteractionNetwork` (its time-ordered
             interactions are used and its vertex universe is passed to the
-            policy), an :class:`~repro.sources.InteractionSource` (possibly
-            live — the run follows it until it exhausts), a ready
+            policy), an :class:`~repro.core.blocks.InteractionBlock` (the
+            interner's vertices are the universe), an
+            :class:`~repro.sources.InteractionSource` (possibly live — the
+            run follows it until it exhausts), a ready
             :class:`~repro.sources.MicroBatchScheduler`, or any time-ordered
             iterable of interactions.
         reset:
@@ -157,107 +170,48 @@ class ProvenanceEngine:
             time every ``sample_every`` interactions — the data behind the
             cumulative-cost curves of Figure 6.
         batch_size:
-            When greater than one, drive the policy through micro-batched
-            :meth:`SelectionPolicy.process_many` calls instead of stepping
-            one interaction at a time.  Every batched run — eager, sharded
-            or streaming — goes through a
+            When greater than one, drive the policy in batches instead of
+            stepping one interaction at a time.  Object batches go through a
             :class:`~repro.sources.MicroBatchScheduler`; for plain iterables
             the engine wraps the input in an eager
-            :class:`~repro.sources.SequenceSource` itself.  Provenance
-            state and sampling positions are identical to the
-            per-interaction path (batches are clipped at sampling
-            boundaries); only the per-interaction Python overhead is
-            amortised.  When observers are registered the engine falls back
-            to per-interaction stepping, because observers must see the
-            policy state after every single interaction.
+            :class:`~repro.sources.SequenceSource` itself.  Batches and
+            spans are clipped at sampling boundaries, so provenance state
+            and sampling positions are identical to the per-interaction
+            path; only the per-interaction Python overhead is amortised.
         scheduler:
             Explicit micro-batch scheduler (overrides ``batch_size``
             chunking; its source is the stream).  Lets callers configure
             time-based flushing and backpressure (``max_in_flight``).
         checkpoint_every, on_checkpoint:
-            When both set on a batched/scheduled run, batches are clipped
-            at every ``checkpoint_every`` boundary and ``on_checkpoint``
-            is invoked there with the engine and the total interactions
-            processed — periodic engine snapshots at exact stream offsets,
-            without forcing per-interaction execution.
-        columnar:
-            Drive the policy through :meth:`SelectionPolicy.process_block`
-            over columnar :class:`~repro.core.blocks.InteractionBlock`
-            batches instead of object lists.  ``None`` (default) enables
-            the columnar path automatically for batched eager network runs
-            whenever the policy has a real array kernel for its current
-            store backend — dict-backed stores are consolidated into a
-            policy-owned row arena, dense/mmap stores hand the kernels
-            their own arena directly — (the network's columnar form is
-            built once and cached); ``False`` disables it; ``True`` forces
-            it everywhere —
-            scheduler/stream runs then columnarise each flushed batch, and
-            policies without a kernel stay correct through the
-            object-materialising adapter.  Results are bit-identical
-            either way.  Per-interaction runs and runs with observers
-            always take the object path.
-        kernel:
-            How columnar spans are driven.  ``"auto"`` / ``"fused"``
-            (default) hand whole clip spans — bounded only by the exact
-            sample/peak/checkpoint offsets — to
-            :meth:`SelectionPolicy.process_run`, so compiled kernels (or
-            the pure fused path) run without returning to Python between
-            batches; ``"batch"`` keeps the fixed-size
-            :meth:`SelectionPolicy.process_block` chunking.  Results are
-            bit-identical either way; any backend compilation happens
-            before the run timer starts (see :meth:`kernel_stats`).
+            When both set, ``on_checkpoint`` is invoked with the engine and
+            the total interactions processed at every ``checkpoint_every``
+            boundary — periodic engine snapshots at exact stream offsets.
+            Batches and spans are clipped there, so checkpoints never force
+            per-interaction execution.
         """
         from repro.sources import InteractionSource, MicroBatchScheduler
 
-        if kernel not in ("auto", "fused", "batch"):
-            raise ValueError(
-                f"kernel must be 'auto', 'fused' or 'batch', got {kernel!r}"
-            )
         self._columnar_stats = None
         self._kernel_stats = None
+        checkpoints = dict(
+            checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint
+        )
         if isinstance(source, InteractionBlock):
-            # A ready block is the columnar fast path by definition; the
-            # policy is reset with the interner's vertex universe, which
-            # matches the registration order of the network the block came
-            # from.
             if reset:
+                # The interner's vertex universe matches the registration
+                # order of the network the block came from.
                 self.policy.reset(source.interner.vertices)
                 self._interactions_processed = 0
                 self._last_time = None
             if self._observers:
-                # Observers must see the policy after every interaction;
-                # materialise the block and step through it.  Periodic
-                # checkpoints ride the observer mechanism exactly like the
-                # non-block observer path, so they are never a silent no-op.
-                interactions = source.to_interactions()
-                if checkpoint_every and on_checkpoint is not None:
-
-                    def _checkpoint_observer(
-                        engine: "ProvenanceEngine",
-                        _interaction: Interaction,
-                        position: int,
-                    ) -> None:
-                        if (position + 1) % checkpoint_every == 0:
-                            on_checkpoint(engine, engine.interactions_processed)
-
-                    self.add_observer(_checkpoint_observer)
-                    try:
-                        return self._run_sequential(
-                            interactions, limit=limit, sample_every=sample_every
-                        )
-                    finally:
-                        self.remove_observer(_checkpoint_observer)
                 return self._run_sequential(
-                    interactions, limit=limit, sample_every=sample_every
+                    source.to_interactions(),
+                    limit=limit,
+                    sample_every=sample_every,
+                    **checkpoints,
                 )
             return self._run_block(
-                source,
-                limit=limit,
-                sample_every=sample_every,
-                batch_size=batch_size,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
-                kernel=kernel,
+                source, limit=limit, sample_every=sample_every, **checkpoints
             )
         if isinstance(source, MicroBatchScheduler):
             scheduler, source = source, source.source
@@ -284,58 +238,30 @@ class ProvenanceEngine:
             self._last_time = None
 
         try:
-            if columnar is None:
-                # Auto mode only engages where the columnar form is (or
-                # becomes) cached: eager network runs.  Scheduler/stream
-                # runs would pay an object-to-array conversion per batch —
-                # roughly what the kernel saves — so there columnar stays
-                # opt-in (columnar=True).
-                use_columnar = (
-                    scheduler is None
-                    and batch_size > 1
-                    and network is not None
-                    and self.policy.has_columnar_kernel()
+            if scheduler is not None and not self._observers:
+                return self._run_scheduled(
+                    scheduler, limit=limit, sample_every=sample_every, **checkpoints
                 )
-            else:
-                use_columnar = columnar
-            use_columnar = use_columnar and not self._observers
-            if use_columnar and scheduler is None and batch_size > 1 and network is not None:
-                # Eager network run: columnarise once (cached on the
-                # network) and slice the block instead of chunking objects.
-                # The network's interaction objects are never read.
-                return self._run_block(
-                    network.to_block(),
+            if batch_size > 1 and not self._observers:
+                if network is not None and self.policy.has_columnar_kernel():
+                    # Columnarise once (cached on the network) and run
+                    # spans of the block; no interaction object is read.
+                    return self._run_block(
+                        network.to_block(),
+                        limit=limit,
+                        sample_every=sample_every,
+                        **checkpoints,
+                    )
+                return self._run_batched(
+                    network.interactions if network is not None else source,
                     limit=limit,
                     sample_every=sample_every,
                     batch_size=batch_size,
-                    checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint,
-                    kernel=kernel,
-                )
-            if scheduler is not None and not self._observers:
-                return self._run_scheduled(
-                    scheduler,
-                    limit=limit,
-                    sample_every=sample_every,
-                    checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint,
-                    columnar=use_columnar,
-                    kernel=kernel,
+                    **checkpoints,
                 )
             interactions: Iterable[Interaction] = (
                 network.interactions if network is not None else source
             )
-            if batch_size > 1 and not self._observers:
-                return self._run_batched(
-                    interactions,
-                    limit=limit,
-                    sample_every=sample_every,
-                    batch_size=batch_size,
-                    checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint,
-                    columnar=use_columnar,
-                    kernel=kernel,
-                )
             if scheduler is not None:
                 # Observers force per-interaction stepping; drain the
                 # scheduler batch by batch but step each interaction
@@ -347,27 +273,8 @@ class ProvenanceEngine:
                 # limit bounds consumption on this path too: never drain
                 # the source past what the run will process.
                 interactions = interactions.iter_limited(limit)
-            if checkpoint_every and on_checkpoint is not None:
-                # The per-interaction path honours periodic checkpoints
-                # through the observer mechanism, so requesting them is
-                # never a silent no-op regardless of execution mode.
-                def _checkpoint_observer(
-                    engine: "ProvenanceEngine",
-                    _interaction: Interaction,
-                    position: int,
-                ) -> None:
-                    if (position + 1) % checkpoint_every == 0:
-                        on_checkpoint(engine, engine.interactions_processed)
-
-                self.add_observer(_checkpoint_observer)
-                try:
-                    return self._run_sequential(
-                        interactions, limit=limit, sample_every=sample_every
-                    )
-                finally:
-                    self.remove_observer(_checkpoint_observer)
             return self._run_sequential(
-                interactions, limit=limit, sample_every=sample_every
+                interactions, limit=limit, sample_every=sample_every, **checkpoints
             )
         finally:
             if clamped_max_pull:
@@ -379,8 +286,16 @@ class ProvenanceEngine:
         *,
         limit: Optional[int],
         sample_every: int,
+        checkpoint_every: int = 0,
+        on_checkpoint: Optional[Callable[["ProvenanceEngine", int], None]] = None,
     ) -> RunStatistics:
-        """Per-interaction drive loop behind :meth:`run` (observers fire)."""
+        """Per-interaction drive loop behind :meth:`run` (observers fire).
+
+        Periodic checkpoints fire after the observers, at multiples of the
+        engine's total processed count.
+        """
+        if on_checkpoint is None:
+            checkpoint_every = 0
         stats = RunStatistics()
         next_peak_check = _PEAK_CHECK_START if not sample_every else 0
         start = _time.perf_counter()
@@ -389,6 +304,8 @@ class ProvenanceEngine:
                 break
             self.step(interaction)
             stats.interactions += 1
+            if checkpoint_every and self._interactions_processed % checkpoint_every == 0:
+                on_checkpoint(self, self._interactions_processed)
             if sample_every and (index + 1) % sample_every == 0:
                 entry_count = self.policy.entry_count()
                 stats.samples.append(index + 1)
@@ -415,8 +332,6 @@ class ProvenanceEngine:
         batch_size: int,
         checkpoint_every: int = 0,
         on_checkpoint: Optional[Callable[["ProvenanceEngine", int], None]] = None,
-        columnar: bool = False,
-        kernel: str = "auto",
     ) -> RunStatistics:
         """Batched drive loop behind :meth:`run` (no observers registered).
 
@@ -443,8 +358,6 @@ class ProvenanceEngine:
             sample_every=sample_every,
             checkpoint_every=checkpoint_every,
             on_checkpoint=on_checkpoint,
-            columnar=columnar,
-            kernel=kernel,
         )
 
     def _run_block(
@@ -453,96 +366,23 @@ class ProvenanceEngine:
         *,
         limit: Optional[int],
         sample_every: int,
-        batch_size: int = 0,
         checkpoint_every: int = 0,
         on_checkpoint: Optional[Callable[["ProvenanceEngine", int], None]] = None,
-        kernel: str = "auto",
     ) -> RunStatistics:
-        """Columnar drive loop over one materialised block (no observers).
-
-        Slices the block at exactly the positions the object paths clip
-        batches at — ``sample_every``, the geometric peak-check cadence and
-        ``checkpoint_every`` — so entry counts are sampled, and checkpoints
-        written, at identical stream offsets.  Slice size never affects
-        results, only amortisation: in fused mode (the default) slices are
-        bounded *only* by those clip offsets and handed to
-        ``process_run``, so the policy's inner loop covers whole spans
-        without returning to Python between batches; ``kernel="batch"``
-        keeps the fixed-size ``_COLUMNAR_CHUNK`` slicing through
-        ``process_block``.
-        """
-        policy = self.policy
-        total = len(block)
+        """Columnar drive over one materialised block (no observers): a
+        stream run fed once, so eager blocks and the stream workers'
+        batches share one fused clip loop."""
         if limit is not None:
-            total = min(total, max(limit, 0))
-        fused = kernel != "batch"
-        if fused:
-            compile_before = _kernels.compile_seconds()
-            # Resolve (and compile) any backend before the timer starts.
-            policy.prepare_fused(block)
-            compile_delta = _kernels.compile_seconds() - compile_before
-            process_block = policy.process_run
-            chunk = max(total, 1)
-        else:
-            compile_delta = 0.0
-            process_block = policy.process_block
-            chunk = max(batch_size, _COLUMNAR_CHUNK)
-        self._columnar_stats = {
-            "mode": "block",
-            "interned_vertices": len(block.interner),
-            "block_bytes": block.nbytes,
-            "kernel": policy.has_columnar_kernel(),
-            "chunk": chunk,
-        }
-        self._kernel_stats = {
-            "mode": "fused" if fused else "batch",
-            "backend": policy.fused_backend() if fused else "batch",
-            "chunks": 0,
-            "compile_seconds": compile_delta,
-        }
-        kernel_stats = self._kernel_stats
-
-        stats = RunStatistics()
-        processed = 0
-        next_peak_check = _PEAK_CHECK_START if not sample_every else 0
-        start = _time.perf_counter()
-        while processed < total:
-            size = min(chunk, total - processed)
-            if sample_every:
-                size = min(size, sample_every - (processed % sample_every))
-            if next_peak_check:
-                size = min(size, next_peak_check - processed)
-            if checkpoint_every:
-                size = min(size, checkpoint_every - (processed % checkpoint_every))
-            piece = block.slice(processed, processed + size)
-            process_block(piece)
-            kernel_stats["chunks"] += 1
-            processed += size
-            self._interactions_processed += size
-            self._last_time = piece.last_time
-            stats.interactions += size
-            if sample_every and processed % sample_every == 0:
-                entry_count = policy.entry_count()
-                stats.samples.append(processed)
-                stats.sampled_entry_counts.append(entry_count)
-                stats.sampled_elapsed_seconds.append(_time.perf_counter() - start)
-                if entry_count > stats.peak_entry_count:
-                    stats.peak_entry_count = entry_count
-            elif next_peak_check and processed >= next_peak_check:
-                entry_count = policy.entry_count()
-                if entry_count > stats.peak_entry_count:
-                    stats.peak_entry_count = entry_count
-                next_peak_check *= 2
-            if (
-                checkpoint_every
-                and on_checkpoint is not None
-                and processed % checkpoint_every == 0
-            ):
-                on_checkpoint(self, self._interactions_processed)
-        stats.elapsed_seconds = _time.perf_counter() - start
-        stats.final_entry_count = policy.entry_count()
-        stats.peak_entry_count = max(stats.peak_entry_count, stats.final_entry_count)
-        return stats
+            block = block.slice(0, min(len(block), max(limit, 0)))
+        stream = EngineStreamRun(
+            self,
+            sample_every=sample_every,
+            checkpoint_every=checkpoint_every,
+            on_checkpoint=on_checkpoint,
+        )
+        self._columnar_stats["mode"] = "block"
+        stream.feed(block)
+        return stream.finish()
 
     def _run_scheduled(
         self,
@@ -552,10 +392,8 @@ class ProvenanceEngine:
         sample_every: int,
         checkpoint_every: int = 0,
         on_checkpoint: Optional[Callable[["ProvenanceEngine", int], None]] = None,
-        columnar: bool = False,
-        kernel: str = "auto",
     ) -> RunStatistics:
-        """The micro-batched drive loop every batched run goes through.
+        """The micro-batched drive loop every batched object run goes through.
 
         Batches are clipped at ``sample_every``, peak-check and
         ``checkpoint_every`` boundaries so entry counts are sampled — and
@@ -564,40 +402,32 @@ class ProvenanceEngine:
         its own time/window triggers; smaller never breaks equivalence,
         only the clipping ceilings matter.
 
-        With ``columnar=True`` every flushed batch is columnarised against
-        a run-local interner and handed to ``process_block`` — the array
-        kernels run on live streams too, at the cost of one object-to-array
-        conversion per batch.
+        When the policy's fused backend is compiled, every flushed batch is
+        columnarised against a run-local interner and handed to
+        ``process_run``: the compiled loop wins back the per-batch
+        object-to-array conversion.
         """
         policy = self.policy
         process_many = policy.process_many
         self._scheduler = scheduler
         interner: Optional[VertexInterner] = None
         kernel_stats: Optional[Dict[str, object]] = None
-        if columnar:
+        compile_before = _kernels.compile_seconds()
+        # Resolves (and compiles) any backend before the timer starts.
+        backend = policy.fused_backend()
+        if backend in _COMPILED_BACKENDS:
             interner = VertexInterner()
-            fused = kernel != "batch"
-            if fused:
-                compile_before = _kernels.compile_seconds()
-                # Resolve (and compile) any backend before the timer starts.
-                policy.prepare_fused()
-                compile_delta = _kernels.compile_seconds() - compile_before
-                process_block = policy.process_run
-            else:
-                compile_delta = 0.0
-                process_block = policy.process_block
+            process_run = policy.process_run
             self._columnar_stats = {
                 "mode": "stream",
                 "interned_vertices": 0,
                 "block_bytes": 0,
-                "kernel": policy.has_columnar_kernel(),
-                "chunk": scheduler.micro_batch,
+                "kernel": True,
             }
             self._kernel_stats = kernel_stats = {
-                "mode": "fused" if fused else "batch",
-                "backend": policy.fused_backend() if fused else "batch",
+                "backend": backend,
                 "chunks": 0,
-                "compile_seconds": compile_delta,
+                "compile_seconds": _kernels.compile_seconds() - compile_before,
             }
 
         stats = RunStatistics()
@@ -620,7 +450,7 @@ class ProvenanceEngine:
                 block = scheduler.next_block(size, interner=interner)
                 if block is None:
                     break
-                process_block(block)
+                process_run(block)
                 kernel_stats["chunks"] += 1
                 self._columnar_stats["interned_vertices"] = len(interner)
                 self._columnar_stats["block_bytes"] += block.nbytes
@@ -660,12 +490,7 @@ class ProvenanceEngine:
         stats.peak_entry_count = max(stats.peak_entry_count, stats.final_entry_count)
         return stats
 
-    def stream_run(
-        self,
-        *,
-        sample_every: int = 0,
-        kernel: str = "auto",
-    ) -> "EngineStreamRun":
+    def stream_run(self, *, sample_every: int = 0) -> "EngineStreamRun":
         """Open a resident streaming run fed one columnar batch at a time.
 
         The engine's drive loops clip at sample/peak/checkpoint offsets
@@ -678,11 +503,7 @@ class ProvenanceEngine:
         at exactly the per-shard positions of one eager whole-shard run.
         The caller resets the policy (with its universe) before opening.
         """
-        if kernel not in ("auto", "fused", "batch"):
-            raise ValueError(
-                f"kernel must be 'auto', 'fused' or 'batch', got {kernel!r}"
-            )
-        return EngineStreamRun(self, sample_every=sample_every, kernel=kernel)
+        return EngineStreamRun(self, sample_every=sample_every)
 
     def step(self, interaction: Interaction) -> None:
         """Process a single interaction and notify observers."""
@@ -761,27 +582,25 @@ class ProvenanceEngine:
         """Columnar-path accounting of the last run, or ``None``.
 
         Reports whether the run was block-native (``mode="block"``: one
-        cached block sliced per kernel call) or stream-converted
-        (``mode="stream"``: scheduler batches columnarised on the fly),
-        the interned-vertex count, the ingest footprint of the column
-        arrays in bytes, and whether the policy ran a real array kernel
-        (``kernel=False`` means the materialising adapter kept a
-        kernel-less policy or a spilling store backend correct).
+        block sliced at clip offsets) or stream-converted
+        (``mode="stream"``: fed stream batches, or scheduler batches
+        columnarised for a compiled kernel), the interned-vertex count,
+        the ingest footprint of the column arrays in bytes, and whether
+        the policy ran a real array kernel (``kernel=False`` means the
+        materialising adapter kept a kernel-less policy or a spilling
+        store backend correct).
         """
         return self._columnar_stats
 
     def kernel_stats(self) -> Optional[Dict[str, object]]:
         """Fused-kernel accounting of the last columnar run, or ``None``.
 
-        Reports the drive mode (``"fused"``: whole clip spans through
-        ``process_run``; ``"batch"``: fixed-size ``process_block``
-        chunking), the backend that served the spans (``"numba"`` /
+        Reports the backend that served the clip spans (``"numba"`` /
         ``"cc"`` for compiled kernels, ``"numpy"`` for the pure fused
-        path, ``"object"`` for the materialising adapter, ``"batch"`` in
-        batch mode), the number of span/chunk invocations, and the
-        seconds spent resolving/compiling backends — always outside the
-        timed region (``prepare_fused`` runs before the run timer
-        starts).  ``None`` for per-interaction and non-columnar runs.
+        path, ``"object"`` for the materialising adapter), the number of
+        span invocations, and the seconds spent resolving/compiling
+        backends — always outside the timed region (``fused_backend``
+        resolves before the run timer starts).  ``None`` for object runs.
         """
         return self._kernel_stats
 
@@ -798,10 +617,11 @@ class ProvenanceEngine:
 class EngineStreamRun:
     """One logical engine run spread over many fed micro-batches.
 
-    Created by :meth:`ProvenanceEngine.stream_run`.  Each :meth:`feed`
-    processes one columnar :class:`InteractionBlock` through the policy's
-    fused path, clipping internally at the *cumulative* ``sample_every``
-    and geometric peak-check offsets — the positions an eager run over the
+    Created by :meth:`ProvenanceEngine.stream_run` (and fed once by the
+    engine's own block drive).  Each :meth:`feed` processes one columnar
+    :class:`InteractionBlock` through the policy's fused path, clipping
+    internally at the *cumulative* ``sample_every``, geometric peak-check
+    and ``checkpoint_every`` offsets — the positions an eager run over the
     concatenation of all fed blocks would clip at.  ``elapsed_seconds`` of
     the final statistics is the accumulated busy time inside :meth:`feed`
     (the per-shard straggler measure), not wall-clock span of the stream.
@@ -812,20 +632,18 @@ class EngineStreamRun:
         engine: ProvenanceEngine,
         *,
         sample_every: int = 0,
-        kernel: str = "auto",
+        checkpoint_every: int = 0,
+        on_checkpoint: Optional[Callable[[ProvenanceEngine, int], None]] = None,
     ) -> None:
         self._engine = engine
         self._policy = policy = engine.policy
         self._sample_every = sample_every
-        fused = kernel != "batch"
+        self._checkpoint_every = checkpoint_every
+        self._on_checkpoint = on_checkpoint
         compile_before = _kernels.compile_seconds()
-        if fused:
-            # Resolve (and compile) any backend before the first batch, the
-            # stream analogue of compiling before the run timer starts.
-            policy.prepare_fused()
-            self._process_block = policy.process_run
-        else:
-            self._process_block = policy.process_block
+        # Resolve (and compile) any backend before the first batch, so
+        # compilation stays outside the timed region.
+        backend = policy.fused_backend()
         compile_delta = _kernels.compile_seconds() - compile_before
         self._stats = RunStatistics()
         self._processed = 0
@@ -837,11 +655,9 @@ class EngineStreamRun:
             "interned_vertices": 0,
             "block_bytes": 0,
             "kernel": policy.has_columnar_kernel(),
-            "chunk": 0,
         }
         engine._kernel_stats = self._kernel_stats = {
-            "mode": "fused" if fused else "batch",
-            "backend": policy.fused_backend() if fused else "batch",
+            "backend": backend,
             "chunks": 0,
             "compile_seconds": compile_delta,
         }
@@ -854,17 +670,19 @@ class EngineStreamRun:
     def feed(self, block: InteractionBlock) -> int:
         """Process one micro-batch; returns its row count.
 
-        Internally slices the batch at the run's cumulative sample and
-        peak-check boundaries, so batch sizing never moves a sampling
-        position.
+        Internally slices the batch at the run's cumulative sample,
+        peak-check and checkpoint boundaries, so batch sizing never moves
+        a sampling position or a checkpoint.
         """
         if self._finished:
             raise RuntimeError("stream run already finished")
         engine = self._engine
         policy = self._policy
-        process_block = self._process_block
+        process_run = policy.process_run
         stats = self._stats
         sample_every = self._sample_every
+        checkpoint_every = self._checkpoint_every
+        on_checkpoint = self._on_checkpoint
         kernel_stats = self._kernel_stats
         total = len(block)
         self._columnar_stats["interned_vertices"] = len(block.interner)
@@ -877,8 +695,10 @@ class EngineStreamRun:
                 size = min(size, sample_every - (self._processed % sample_every))
             if self._next_peak_check:
                 size = min(size, self._next_peak_check - self._processed)
+            if checkpoint_every:
+                size = min(size, checkpoint_every - (self._processed % checkpoint_every))
             piece = block.slice(offset, offset + size)
-            process_block(piece)
+            process_run(piece)
             kernel_stats["chunks"] += 1
             offset += size
             self._processed += size
@@ -899,6 +719,12 @@ class EngineStreamRun:
                 if entry_count > stats.peak_entry_count:
                     stats.peak_entry_count = entry_count
                 self._next_peak_check *= 2
+            if (
+                checkpoint_every
+                and on_checkpoint is not None
+                and self._processed % checkpoint_every == 0
+            ):
+                on_checkpoint(engine, engine._interactions_processed)
         self._busy += _time.perf_counter() - start
         return total
 

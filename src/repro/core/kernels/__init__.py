@@ -1,9 +1,8 @@
 """Fused whole-run kernel tier: one dispatch seam, multiple backends.
 
-The columnar fast path (``SelectionPolicy.process_block``) is numpy-
-vectorised but still orchestrated per-batch from Python.  This package
-fuses the hot inner loops into whole-run kernels resolved behind a
-single seam:
+The columnar kernels (``SelectionPolicy.process_block``) are Python
+loops over numpy columns.  This package compiles the hot inner loops into
+whole-run kernels resolved behind a single seam:
 
 ``get_kernel(name)``
     Resolve the best available compiled backend for a kernel name

@@ -168,22 +168,15 @@ class SelectionPolicy(abc.ABC):
         """
         self.process_block(block)
 
-    def prepare_fused(self, block: "InteractionBlock" = None) -> None:
-        """Resolve (and compile) any fused kernel backend ahead of time.
-
-        The engine calls this before starting its run timer so backend
-        compilation is measured outside the timed region.  The default is
-        a no-op; kernel policies trigger :func:`repro.core.kernels.get_kernel`
-        here.
-        """
-
     def fused_backend(self) -> str:
-        """Which backend :meth:`process_run` would use *right now*.
+        """Which backend :meth:`process_run` uses, resolving it if needed.
 
         ``"numba"`` / ``"cc"`` when a compiled kernel resolved, ``"numpy"``
         for the always-available pure fused path (array kernels driven over
         whole spans), ``"object"`` when the policy has no columnar kernel
-        and spans go through the materialising adapter.
+        and spans go through the materialising adapter.  The engine calls
+        this before starting its run timer, so backend compilation is
+        measured outside the timed region.
         """
         return "numpy" if self.has_columnar_kernel() else "object"
 
@@ -193,9 +186,8 @@ class SelectionPolicy(abc.ABC):
         Instance-level because kernels require direct access to the state
         (a dict-backed store): a policy whose annotation state lives in a
         spilling backend answers False and keeps the object fast paths.
-        The engine's automatic columnar mode only engages when this is
-        True; forcing ``columnar=True`` still works through the
-        materialising adapter.
+        The engine runs a network's block only when this is True; a block
+        handed to the engine still runs through the materialising adapter.
         """
         return False
 
@@ -206,7 +198,9 @@ class SelectionPolicy(abc.ABC):
         overriding ``process_block`` would be silently bypassed by the
         inherited kernel; in that case the kernel must report itself
         unavailable so such subclasses keep their object semantics (the
-        materialising adapter calls the overridden methods).
+        materialising adapter calls the overridden methods, and the
+        inherited ``process_many`` fast paths defer to
+        :meth:`SelectionPolicy.process_many` for an overridden ``process``).
         """
         cls = type(self)
         if cls.process_block is not owner.process_block:

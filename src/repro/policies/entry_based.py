@@ -115,54 +115,30 @@ class EntryBufferPolicy(SelectionPolicy):
 
         Bit-identical to repeated :meth:`process` calls — the relayed
         quantity accumulates left to right exactly like the ``sum()`` of
-        the per-interaction path.  With a dict-backed store the loop runs
-        against the raw dict; spilling backends run the same loop through
-        the store interface.
+        the per-interaction path.  Only a dict-backed store takes the
+        hoisted loop; spilling backends, and subclasses that override
+        :meth:`process`, step through :meth:`process`.
         """
         self._decolumnarise()
         raw = self._buffers.raw_dict()
+        if raw is None or type(self).process is not EntryBufferPolicy.process:
+            SelectionPolicy.process_many(self, interactions)
+            return
         make_buffer = self.make_buffer
         track_paths = self.track_paths
         extend_path = self._extend_path
-        if raw is not None:
-            get = raw.get
-            for interaction in interactions:
-                source = interaction.source
-                destination = interaction.destination
-                source_buffer = get(source)
-                if source_buffer is None:
-                    source_buffer = make_buffer()
-                    raw[source] = source_buffer
-                destination_buffer = get(destination)
-                if destination_buffer is None:
-                    destination_buffer = make_buffer()
-                    raw[destination] = destination_buffer
-
-                transferred = source_buffer.drain(interaction.quantity)
-                push = destination_buffer.push
-                relayed_quantity = 0.0
-                for entry in transferred:
-                    relayed_quantity += entry.quantity
-                    if track_paths:
-                        entry.path = extend_path(entry.path, source)
-                    push(entry)
-
-                residue = interaction.quantity - relayed_quantity
-                if residue > 1e-12:
-                    push(
-                        BufferEntry(
-                            origin=source,
-                            quantity=residue,
-                            birth_time=interaction.time,
-                            path=(source,) if track_paths else None,
-                        )
-                    )
-            return
-        get_or_create = self._buffers.get_or_create
+        get = raw.get
         for interaction in interactions:
             source = interaction.source
-            source_buffer = get_or_create(source, make_buffer)
-            destination_buffer = get_or_create(interaction.destination, make_buffer)
+            destination = interaction.destination
+            source_buffer = get(source)
+            if source_buffer is None:
+                source_buffer = make_buffer()
+                raw[source] = source_buffer
+            destination_buffer = get(destination)
+            if destination_buffer is None:
+                destination_buffer = make_buffer()
+                raw[destination] = destination_buffer
 
             transferred = source_buffer.drain(interaction.quantity)
             push = destination_buffer.push

@@ -139,30 +139,20 @@ class NoProvenancePolicy(SelectionPolicy):
 
         Produces exactly the state :meth:`process` would (same operations in
         the same order); only the Python-level overhead — attribute lookups
-        and the call per interaction — is amortised over the batch.  With a
-        dict-backed store the loop runs against the raw dicts; other
-        backends run the same arithmetic through the store interface.
+        and the call per interaction — is amortised over the batch.  Only
+        dict-backed stores take the inlined loop; other backends, and
+        subclasses that override :meth:`process`, step through
+        :meth:`process`.
         """
         self._decolumnarise()
         buffers = self._buffers.raw_dict()
         generated = self._generated.raw_dict()
-        if buffers is None or generated is None:
-            buffers_get = self._buffers.get
-            buffers_put = self._buffers.put
-            buffers_merge = self._buffers.merge
-            generated_merge = self._generated.merge
-            for interaction in interactions:
-                source = interaction.source
-                quantity = interaction.quantity
-                available = buffers_get(source)
-                if available is None:
-                    available = 0.0
-                relayed = min(quantity, available)
-                newborn = quantity - relayed
-                buffers_put(source, available - relayed)
-                buffers_merge(interaction.destination, quantity)
-                if newborn > 0:
-                    generated_merge(source, newborn)
+        if (
+            buffers is None
+            or generated is None
+            or type(self).process is not NoProvenancePolicy.process
+        ):
+            SelectionPolicy.process_many(self, interactions)
             return
         for interaction in interactions:
             source = interaction.source
@@ -280,9 +270,6 @@ class NoProvenancePolicy(SelectionPolicy):
         from repro.core import kernels
 
         return kernels.get_kernel("noprov")
-
-    def prepare_fused(self, block: Optional[InteractionBlock] = None) -> None:
-        self._fused_handle()
 
     def fused_backend(self) -> str:
         if not self.has_columnar_kernel():

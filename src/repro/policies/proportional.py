@@ -265,56 +265,25 @@ class ProportionalDensePolicy(SelectionPolicy):
         operations, same order, hence bit-identical vectors) with the state
         stores, the vertex index and the vector accessors held in locals,
         amortising the per-interaction Python overhead over the batch.
-        Dict-backed stores are driven through their raw dicts; the dense
-        and sqlite backends run the same arithmetic through the store
-        interface.
+        Only dict-backed stores take the inlined loop; the dense and sqlite
+        backends, and subclasses that override :meth:`process`, step
+        through :meth:`process`.
         """
         self._decolumnarise()
         index = self._index
         vectors = self._vectors.raw_dict()
         totals = self._totals.raw_dict()
+        if (
+            vectors is None
+            or totals is None
+            or type(self).process is not ProportionalDensePolicy.process
+        ):
+            SelectionPolicy.process_many(self, interactions)
+            return
         universe = len(index)
         zeros = np.zeros
         scratch = self._split_scratch()
         multiply = np.multiply
-        if vectors is None or totals is None:
-            vector_of = self._vector
-            totals_get = self._totals.get
-            totals_put = self._totals.put
-            totals_merge = self._totals.merge
-            ensure_rows = getattr(self._vectors, "ensure_rows", None)
-            for interaction in interactions:
-                source = interaction.source
-                destination = interaction.destination
-                quantity = interaction.quantity
-                if source not in index:
-                    self._position(source)
-                if destination not in index:
-                    self._position(destination)
-                source_total = totals_get(source, 0.0)
-
-                # Reserve both arena rows before fetching either view.
-                if ensure_rows is not None:
-                    ensure_rows((source, destination))
-                source_vector = vector_of(source)
-                destination_vector = vector_of(destination)
-
-                if quantity >= source_total:
-                    destination_vector += source_vector
-                    newborn = quantity - source_total
-                    if newborn > 0:
-                        destination_vector[index[source]] += newborn
-                    source_vector[:] = 0.0
-                    totals_put(source, 0.0)
-                    totals_merge(destination, quantity)
-                else:
-                    fraction = quantity / source_total
-                    moved = multiply(source_vector, fraction, out=scratch)
-                    destination_vector += moved
-                    source_vector -= moved
-                    totals_put(source, source_total - quantity)
-                    totals_merge(destination, quantity)
-            return
         for interaction in interactions:
             source = interaction.source
             destination = interaction.destination
@@ -620,9 +589,6 @@ class ProportionalDensePolicy(SelectionPolicy):
 
         return kernels.get_kernel("proportional-dense")
 
-    def prepare_fused(self, block: Optional[InteractionBlock] = None) -> None:
-        self._fused_handle()
-
     def fused_backend(self) -> str:
         if not self.has_columnar_kernel():
             return "object"
@@ -870,12 +836,17 @@ class ProportionalSparsePolicy(SelectionPolicy):
 
         Same arithmetic and operation order as :meth:`process` — only the
         state lookups are hoisted into locals for the whole batch.  Non-dict
-        store backends run the identical loop through the store interface.
+        store backends, and subclasses that override :meth:`process`, step
+        through :meth:`process`.
         """
         vectors = self._vectors.raw_dict()
         totals = self._totals.raw_dict()
-        if vectors is None or totals is None:
-            self._process_many_store(interactions)
+        if (
+            vectors is None
+            or totals is None
+            or type(self).process is not ProportionalSparsePolicy.process
+        ):
+            SelectionPolicy.process_many(self, interactions)
             return
         for interaction in interactions:
             source = interaction.source
@@ -915,45 +886,6 @@ class ProportionalSparsePolicy(SelectionPolicy):
                         del source_vector[origin]
                 totals[source] = source_total - quantity
                 totals[destination] = totals.get(destination, 0.0) + quantity
-
-    def _process_many_store(self, interactions: Sequence[Interaction]) -> None:
-        """Interface-driven batch loop for non-dict store backends."""
-        vector_of = self._vector
-        totals_get = self._totals.get
-        totals_put = self._totals.put
-        totals_merge = self._totals.merge
-        for interaction in interactions:
-            source = interaction.source
-            destination = interaction.destination
-            quantity = interaction.quantity
-            source_total = totals_get(source, 0.0)
-
-            source_vector = vector_of(source)
-            destination_vector = vector_of(destination)
-
-            if quantity >= source_total:
-                for origin, amount in source_vector.items():
-                    destination_vector[origin] = destination_vector.get(origin, 0.0) + amount
-                newborn = quantity - source_total
-                if newborn > 0:
-                    destination_vector[source] = destination_vector.get(source, 0.0) + newborn
-                source_vector.clear()
-                totals_put(source, 0.0)
-                totals_merge(destination, quantity)
-            else:
-                fraction = quantity / source_total
-                keep = 1.0 - fraction
-                for origin in list(source_vector):
-                    amount = source_vector[origin]
-                    moved = amount * fraction
-                    destination_vector[origin] = destination_vector.get(origin, 0.0) + moved
-                    remaining = amount * keep
-                    if remaining > _PRUNE_EPSILON:
-                        source_vector[origin] = remaining
-                    else:
-                        del source_vector[origin]
-                totals_put(source, source_total - quantity)
-                totals_merge(destination, quantity)
 
     # ------------------------------------------------------------------
     # queries

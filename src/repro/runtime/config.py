@@ -100,37 +100,6 @@ class RunConfig:
         exactly where the checkpoint was taken.
     vertex_type:
         Converter for the vertex columns of CSV datasets (e.g. ``int``).
-    columnar:
-        Columnar fast path: drive the policy over struct-of-array
-        :class:`~repro.core.blocks.InteractionBlock` batches with interned
-        vertex ids instead of boxed interaction objects.  ``None``
-        (default) engages automatically for batched eager network runs —
-        including sharded ones — whenever the policy has an array kernel
-        for its store backend (noprov, proportional-dense and the
-        entry-based policies on dict-backed stores); the columnar form is
-        built once per network and cached.  ``False`` keeps the object
-        path.  ``True`` forces block-driven execution everywhere:
-        scheduler/stream runs columnarise each flushed batch (conversion
-        roughly cancels the kernel win, hence opt-in), policies without a
-        kernel run through a materialising adapter, and CSV datasets are
-        parsed straight into column arrays without ever building
-        interaction objects.  Results are bit-identical either way;
-        observers and per-interaction runs always use the object path.
-    kernel:
-        How columnar spans are driven (see
-        :func:`repro.core.kernels.get_kernel`).  ``"auto"`` / ``"fused"``
-        (default) hand whole clip spans — bounded only by the exact
-        sample/peak/checkpoint offsets — to
-        :meth:`SelectionPolicy.process_run`, routing hot policies through
-        a compiled kernel (numba when installed, else a cached
-        compiled-C library) with a pure-numpy fused fallback when neither
-        resolves (``REPRO_JIT=0`` forces the fallback); ``"batch"``
-        keeps the fixed-size per-chunk ``process_block`` tier.  Results
-        are bit-identical in every mode; backend compile time is spent
-        before the run timer starts and reported in
-        :attr:`RunResult.kernel_stats`.  ``"fused"`` only differs from
-        ``"auto"`` in intent: it documents that the caller wants the
-        fused tier and rejects ``columnar=False``.
     policy:
         Registry name (``"fifo"``, ``"proportional-sparse"``, ...) or a
         ready :class:`SelectionPolicy` instance.
@@ -167,8 +136,9 @@ class RunConfig:
         When set, the engine state is saved there after the run completes
         (see :mod:`repro.core.checkpoint`).
     checkpoint_every:
-        Additionally checkpoint every N processed interactions (registers an
-        observer, hence forces per-interaction execution).
+        Additionally checkpoint every N processed interactions.  Batched
+        runs clip their batches or spans at each boundary; runs with
+        observers checkpoint through an observer.
     memory_ceiling_bytes, memory_check_every:
         Classify the run as infeasible when the policy state exceeds the
         ceiling; with ``memory_check_every`` the ceiling is also enforced
@@ -276,8 +246,6 @@ class RunConfig:
     idle_timeout: Optional[float] = None
     resume_from: Optional[Union[str, Path]] = None
     vertex_type: type = str
-    columnar: Optional[bool] = None
-    kernel: str = "auto"
     policy: PolicySpec = "fifo"
     policy_options: Dict[str, Any] = field(default_factory=dict)
     store: Union[str, StoreSpec, None] = None
@@ -314,15 +282,6 @@ class RunConfig:
             resolve_store_spec(self.store, options=self.store_options)
         if self.batch_size < 0:
             raise RunConfigurationError(f"batch_size must be >= 0, got {self.batch_size}")
-        if self.kernel not in ("auto", "fused", "batch"):
-            raise RunConfigurationError(
-                f"kernel must be 'auto', 'fused' or 'batch', got {self.kernel!r}"
-            )
-        if self.kernel == "fused" and self.columnar is False:
-            raise RunConfigurationError(
-                "kernel='fused' drives columnar spans; it cannot be combined "
-                "with columnar=False — drop one of the two"
-            )
         if self.sample_every < 0:
             raise RunConfigurationError(f"sample_every must be >= 0, got {self.sample_every}")
         if self.shards < 0:
@@ -489,12 +448,6 @@ class RunConfig:
                     "streaming_shards always runs on the shared-memory stream "
                     "fabric; drop the shared_memory flag"
                 )
-            if self.columnar is False:
-                raise RunConfigurationError(
-                    "partitioned streaming dispatches columnar micro-batches "
-                    "(results stay bit-identical); columnar=False cannot be "
-                    "honoured"
-                )
             if self.shard_by == "components" and (
                 self.source is not None or self.follow or self.stream
             ):
@@ -514,12 +467,6 @@ class RunConfig:
                     f"set shard_executor='processes' (got "
                     f"{self.shard_executor!r})"
                 )
-            if self.columnar is False:
-                raise RunConfigurationError(
-                    "the shared-memory fabric executes shards block-natively "
-                    "(results stay bit-identical); columnar=False cannot be "
-                    "honoured — drop it or disable shared_memory"
-                )
 
     @property
     def uses_shared_memory(self) -> bool:
@@ -537,10 +484,10 @@ class RunConfig:
 
         True for source-fed, tailed and resumed runs, and whenever one of
         the scheduler knobs (``micro_batch``, ``max_in_flight``,
-        ``flush_interval``) is set explicitly.  Eager runs without these
-        knobs still go through a scheduler — the engine builds one
-        internally for every batched run — but keep their historical
-        checkpoint/observer semantics.
+        ``flush_interval``) is set explicitly.  Eager object runs without
+        these knobs still go through a scheduler — the engine builds one
+        internally for every batched object run.  A resumed network run
+        whose policy has a columnar kernel slices its block instead.
         """
         return (
             self.source is not None
@@ -562,13 +509,10 @@ class RunConfig:
     def effective_batch_size(self) -> int:
         """Batch size actually used by the engine (observers force 1).
 
-        Periodic checkpointing historically forced per-interaction stepping
-        (an observer); scheduler-driven runs instead clip batches at the
-        checkpoint boundaries, so they keep their batch size.
+        Periodic checkpoints clip batches and spans at their boundaries,
+        so they keep the batch size.
         """
         if self.observers:
-            return 1
-        if self.checkpoint_every and not self.uses_scheduler:
             return 1
         return self.batch_size
 

@@ -561,8 +561,6 @@ def fork_payload_bytes(
     *,
     batch_size: int = 0,
     sample_every: int = 0,
-    columnar: Optional[bool] = None,
-    kernel: str = "auto",
 ) -> int:
     """Bytes the pickled process executor ships across the fork boundary.
 
@@ -576,7 +574,7 @@ def fork_payload_bytes(
     return sum(
         len(
             pickle.dumps(
-                (shard, policy, batch_size, sample_every, columnar, kernel),
+                (shard, policy, batch_size, sample_every),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
         )
@@ -584,31 +582,25 @@ def fork_payload_bytes(
     )
 
 
-def _run_one_shard(
-    payload: Tuple[Shard, SelectionPolicy, int, int, Optional[bool], str]
-) -> ShardRun:
+def _run_one_shard(payload: Tuple[Shard, SelectionPolicy, int, int]) -> ShardRun:
     """Drive one shard's interactions through its own engine.
 
     Module-level so process pools can pickle it; the policy travels with the
-    payload and returns carrying its final state.  When the shard carries a
-    columnar block and the run is batched, the engine is fed the block —
-    the shard-level counterpart of the single-engine columnar path.
+    payload and returns carrying its final state.  A batched shard whose
+    policy has a columnar kernel runs its block — the shard-level
+    counterpart of the single-engine block path.
     """
-    shard, policy, batch_size, sample_every, columnar, kernel = payload
+    shard, policy, batch_size, sample_every = payload
     engine = ProvenanceEngine(policy)
     policy.reset(shard.universe())
     use_block = (
-        shard.block is not None
-        and batch_size > 1
-        and (columnar if columnar is not None else policy.has_columnar_kernel())
+        shard.block is not None and batch_size > 1 and policy.has_columnar_kernel()
     )
     statistics = engine.run(
         shard.block if use_block else shard.interactions,
         reset=False,
         sample_every=sample_every,
         batch_size=batch_size,
-        columnar=columnar,
-        kernel=kernel,
     )
     return ShardRun(
         shard=shard,
@@ -628,9 +620,7 @@ def run_shards(
     sample_every: int = 0,
     executor: str = "serial",
     max_workers: Optional[int] = None,
-    columnar: Optional[bool] = None,
     shared_memory: bool = False,
-    kernel: str = "auto",
     max_task_retries: int = 1,
     retry_backoff: float = 0.05,
     fault_stats: Optional[Dict[str, object]] = None,
@@ -658,12 +648,6 @@ def run_shards(
                 "shared_memory=True requires the 'processes' executor; "
                 f"got {executor!r}"
             )
-        if columnar is False:
-            raise RunConfigurationError(
-                "the shared-memory fabric executes shards block-natively; "
-                "columnar=False cannot be honoured — drop it or disable "
-                "shared_memory"
-            )
         from repro.runtime import shm as _shm
 
         runs, merged, _stats = _shm.run_shards_shared(
@@ -672,7 +656,6 @@ def run_shards(
             batch_size=batch_size,
             sample_every=sample_every,
             max_workers=max_workers,
-            kernel=kernel,
             max_retries=max_task_retries,
             retry_backoff=retry_backoff,
             fault_stats=fault_stats,
@@ -684,7 +667,7 @@ def run_shards(
             f"{len(policies)} policies"
         )
     payloads = [
-        (shard, policy, batch_size, sample_every, columnar, kernel)
+        (shard, policy, batch_size, sample_every)
         for shard, policy in zip(plan.shards, policies)
     ]
     start = _time.perf_counter()

@@ -43,10 +43,9 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.blocks import VertexInterner
+from repro.core.blocks import InteractionBlock, VertexInterner
 from repro.core.checkpoint import (
     engine_from_checkpoint,
-    load_engine,
     read_checkpoint,
     save_checkpoint_state,
     save_engine,
@@ -198,11 +197,11 @@ class RunResult:
     #: the run took the object path.  See
     #: :meth:`repro.core.engine.ProvenanceEngine.columnar_stats`.
     columnar_stats: Optional[Dict[str, Any]] = None
-    #: Fused-kernel accounting (drive mode, backend, span/chunk count,
-    #: compile seconds spent outside the timed region); ``None`` when the
-    #: run took the object path.  Sharded runs report the first shard's
-    #: mode/backend with chunk counts summed and compile seconds maxed
-    #: (shards compile concurrently at worst).  See
+    #: Fused-kernel accounting (backend, span count, compile seconds spent
+    #: outside the timed region); ``None`` when the run took the object
+    #: path.  Sharded runs report the first shard's backend with span
+    #: counts summed and compile seconds maxed (shards compile
+    #: concurrently at worst).  See
     #: :meth:`repro.core.engine.ProvenanceEngine.kernel_stats`.
     kernel_stats: Optional[Dict[str, Any]] = None
     #: Shared-memory shard-fabric accounting (backend, workers, segment
@@ -444,8 +443,6 @@ class Runner:
         """Execute the configured run and return its result."""
         if self.config.uses_partitioned_streaming:
             return self._run_partitioned_streaming()
-        if self._block_native_ingest():
-            return self._run_block_native()
         network, stream = self.resolve_dataset()
         if self.config.shards > 1:
             if network is None:
@@ -457,105 +454,6 @@ class Runner:
                 )
             return self._run_sharded(network)
         return self._run_single(network, stream)
-
-    def _block_native_ingest(self) -> bool:
-        """Whether the run should drive the engine with the CSV's block.
-
-        Only for explicitly requested columnar runs over a plain CSV path:
-        the engine runs the ingest block (24 bytes per row) itself and no
-        interaction object is ever built.  Resumed runs stay block-native
-        too — the processed prefix is skipped with a single zero-copy
-        ``block.slice`` instead of replaying the source item by item.
-        Follow/tail, sharded, observer-driven and memory-ceiling runs take
-        the network paths (ceilings need the object path's
-        mid-run/feasibility machinery).
-        """
-        config = self.config
-        if config.columnar is not True or config.source is not None:
-            return False
-        if not isinstance(config.dataset, (str, Path)):
-            return False
-        if str(config.dataset) in available_presets():
-            return False
-        return not (
-            config.follow
-            # stream=True is an explicit lazy-consumption request; the
-            # forced-columnar scheduler path keeps it lazy instead.
-            or config.stream
-            or config.shards > 1
-            or config.observers
-            or config.memory_ceiling_bytes is not None
-            # An explicit scheduler knob keeps the scheduled path; a bare
-            # resume_from (which also implies uses_scheduler) stays
-            # block-native and slices the prefix instead.
-            or config.micro_batch is not None
-            or config.max_in_flight is not None
-            or config.flush_interval is not None
-        )
-
-    def _run_block_native(self) -> RunResult:
-        """Columnar CSV run: drive the engine with the CSV's ingest block.
-
-        The block is the time-ordered one every CSV run parses (through
-        :func:`read_network_csv`), so the universe is the whole file's and
-        ``limit`` keeps the earliest rows, exactly as on the network path.
-        Resumed runs restore the engine from the checkpoint and skip the
-        processed prefix with a single zero-copy ``block.slice`` — no
-        source replay, no item-by-item draining.
-        """
-        config = self.config
-        network = read_network_csv(config.dataset, vertex_type=config.vertex_type)
-        block = network.to_block()
-        if config.resume_from is not None:
-            engine = load_engine(config.resume_from)
-            policy = engine.policy
-            block = block.slice(min(engine.interactions_processed, len(block)), len(block))
-        else:
-            policy = build_policy(config, network)
-            engine = ProvenanceEngine(policy)
-        on_checkpoint = None
-        if config.checkpoint_every:
-            if config.checkpoint_path is None:
-                raise RunConfigurationError(
-                    "checkpoint_every needs a checkpoint_path to write to"
-                )
-            checkpoint_path = Path(config.checkpoint_path)
-
-            def on_checkpoint(eng: ProvenanceEngine, _processed: int) -> None:
-                save_engine(eng, checkpoint_path)
-
-        statistics = engine.run(
-            block,
-            reset=config.resume_from is None,
-            limit=config.limit,
-            sample_every=config.sample_every,
-            batch_size=config.effective_batch_size,
-            checkpoint_every=config.checkpoint_every,
-            on_checkpoint=on_checkpoint,
-            kernel=config.kernel,
-        )
-        memory_bytes: Optional[int] = None
-        if config.measure_memory:
-            # stores() flushes any transient columnar mirror first, so the
-            # measured footprint matches the object path's.
-            policy.stores()
-            memory_bytes = policy_memory_bytes(policy)
-        if config.checkpoint_path is not None:
-            save_engine(engine, config.checkpoint_path)
-        return RunResult(
-            config=config,
-            statistics=statistics,
-            policy=policy,
-            # A columnar run reports no network: its interactions were
-            # never objects.
-            network=None,
-            engine=engine,
-            memory_bytes=memory_bytes,
-            store_stats=policy.store_stats(),
-            scheduler_stats=engine.scheduler_stats(),
-            columnar_stats=engine.columnar_stats(),
-            kernel_stats=engine.kernel_stats(),
-        )
 
     def _run_single(
         self,
@@ -593,18 +491,11 @@ class Runner:
             )
             engine.add_observer(ceiling)
 
-        use_scheduler = config.uses_scheduler or isinstance(stream, InteractionSource)
-        # Scheduler-driven runs checkpoint at batch-clipped stream offsets;
-        # everything else keeps the historical per-interaction observer.
-        # ANY engine observer (user-supplied or the ceiling above) forces the
-        # per-interaction path, where only the observer mechanism fires — so
-        # in-loop checkpointing must be off whenever an observer exists.
-        checkpoint_in_loop = bool(
-            use_scheduler
-            and config.checkpoint_every
-            and not config.observers
-            and ceiling is None
-        )
+        observed = bool(config.observers) or ceiling is not None
+        # Observers force per-interaction stepping, where periodic
+        # checkpoints ride an observer; every other run clips its batches
+        # or spans at the checkpoint boundaries.
+        checkpoint_in_loop = bool(config.checkpoint_every) and not observed
         if config.checkpoint_every:
             if config.checkpoint_path is None:
                 raise RunConfigurationError(
@@ -615,9 +506,27 @@ class Runner:
                     Path(config.checkpoint_path), config.checkpoint_every
                 ))
 
+        source: Union[
+            TemporalInteractionNetwork, InteractionBlock, Iterable[Interaction]
+        ] = network if network is not None else stream
         scheduler: Optional[MicroBatchScheduler] = None
         seek_base: Optional[InteractionSource] = None
-        if use_scheduler:
+        if (
+            resumed is not None
+            and network is not None
+            and config.micro_batch is None
+            and config.max_in_flight is None
+            and config.flush_interval is None
+            and not observed
+            and config.effective_batch_size > 1
+            and policy.has_columnar_kernel()
+        ):
+            # The engine runs this network's block: skip the processed
+            # prefix with one zero-copy slice — no interaction object is
+            # built and nothing is replayed.
+            block = network.to_block()
+            source = block.slice(min(skip, len(block)), len(block))
+        elif config.uses_scheduler or isinstance(stream, InteractionSource):
             if isinstance(stream, InteractionSource):
                 base = stream
                 seek_base = base
@@ -646,8 +555,8 @@ class Runner:
                 max_pull=config.limit,
                 **scheduler_options,
             )
-        elif skip:  # pragma: no cover - resume_from implies use_scheduler
-            stream = islice(iter(stream), skip, None)
+            if network is None:
+                source = scheduler
 
         on_checkpoint = None
         if checkpoint_in_loop:
@@ -660,12 +569,6 @@ class Runner:
                     source_resume=_source_resume_token(seek_base, eng),
                 )
 
-        if network is not None:
-            source: Union[TemporalInteractionNetwork, Iterable[Interaction]] = network
-        elif scheduler is not None:
-            source = scheduler
-        else:
-            source = stream
         # The Runner closes sources it constructed itself — the follow tail
         # source, wrappers over files it opened or networks it loaded — so a
         # run ending before exhaustion (limit hit, memory abort) releases
@@ -687,8 +590,6 @@ class Runner:
                 scheduler=scheduler,
                 checkpoint_every=config.checkpoint_every if checkpoint_in_loop else 0,
                 on_checkpoint=on_checkpoint,
-                columnar=config.columnar,
-                kernel=config.kernel,
             )
         except MemoryBudgetExceededError as error:
             return RunResult(
@@ -804,7 +705,6 @@ class Runner:
                     batch_size=config.effective_batch_size,
                     sample_every=config.sample_every,
                     max_workers=config.max_workers,
-                    kernel=config.kernel,
                     max_retries=config.max_task_retries,
                     retry_backoff=config.retry_backoff,
                     fault_stats=fault,
@@ -830,8 +730,6 @@ class Runner:
                 sample_every=config.sample_every,
                 executor=config.shard_executor,
                 max_workers=config.max_workers,
-                columnar=config.columnar,
-                kernel=config.kernel,
             )
 
         memory_bytes: Optional[int] = None
@@ -886,8 +784,6 @@ class Runner:
         kwargs = dict(
             batch_size=config.effective_batch_size,
             sample_every=config.sample_every,
-            columnar=config.columnar,
-            kernel=config.kernel,
         )
         try:
             return run_shards(
@@ -1030,7 +926,6 @@ class Runner:
                 capacity=capacity,
                 ring=config.streaming_ring,
                 sample_every=config.sample_every,
-                kernel=config.kernel,
                 max_workers=config.max_workers,
                 max_retries=config.max_task_retries,
                 retry_backoff=config.retry_backoff,
@@ -1218,7 +1113,6 @@ class Runner:
                 capacity=capacity,
                 ring=config.streaming_ring,
                 sample_every=config.sample_every,
-                kernel=config.kernel,
                 max_workers=config.max_workers,
                 max_retries=config.max_task_retries,
                 retry_backoff=config.retry_backoff,
@@ -1499,16 +1393,15 @@ class Runner:
 def _merge_kernel_stats(runs: Iterable[ShardRun]) -> Optional[Dict[str, Any]]:
     """One representative kernel-stats dict for a sharded run.
 
-    Mode and backend come from the first shard that reports them (shards
-    share the policy/store configuration, so backends agree); chunk counts
-    sum; compile seconds take the max — shards resolve against the same
+    The backend comes from the first shard that reports one (shards share
+    the policy/store configuration, so backends agree); chunk counts sum;
+    compile seconds take the max — shards resolve against the same
     process-wide kernel cache, so at worst one shard paid the compile.
     """
     per_shard = [run.kernel_stats for run in runs if run.kernel_stats]
     if not per_shard:
         return None
     return {
-        "mode": per_shard[0]["mode"],
         "backend": per_shard[0]["backend"],
         "chunks": sum(stats["chunks"] for stats in per_shard),
         "compile_seconds": max(stats["compile_seconds"] for stats in per_shard),

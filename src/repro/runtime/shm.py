@@ -206,8 +206,6 @@ class ShardTask:
     policy: SelectionPolicy
     batch_size: int = 0
     sample_every: int = 0
-    #: Kernel routing for the worker's engine (``auto``/``fused``/``batch``).
-    kernel: str = "auto"
     #: Pre-declared name of the segment the worker may export dense result
     #: state into; the parent owns (and can force-clean) the name either way.
     state_kind: str = "shm"
@@ -258,7 +256,6 @@ class StreamOpen:
     layout: BlockHandle
     capacity: int
     sample_every: int = 0
-    kernel: str = "auto"
     state_kind: str = "shm"
     state_name: Optional[str] = None
 
@@ -802,9 +799,7 @@ class _StreamSession:
             engine._interactions_processed = int(base["interactions_processed"])
             engine._last_time = base["current_time"]
         self.engine = engine
-        self.run = engine.stream_run(
-            sample_every=message.sample_every, kernel=message.kernel
-        )
+        self.run = engine.stream_run(sample_every=message.sample_every)
         self.state_kind = message.state_kind
         self.state_name = message.state_name
         self.batches = 0
@@ -927,7 +922,6 @@ def _execute_task(
         reset=False,
         sample_every=task.sample_every,
         batch_size=task.batch_size,
-        kernel=task.kernel,
     )
     store_stats = policy.store_stats()
     state = None
@@ -1381,7 +1375,6 @@ def run_shards_shared(
     batch_size: int = 0,
     sample_every: int = 0,
     max_workers: Optional[int] = None,
-    kernel: str = "auto",
     max_retries: int = 1,
     retry_backoff: float = 0.05,
     fault_stats: Optional[Dict[str, Any]] = None,
@@ -1426,7 +1419,6 @@ def run_shards_shared(
             policy=policy,
             batch_size=batch_size,
             sample_every=sample_every,
-            kernel=kernel,
             state_kind=kind,
             state_name=state_names[index],
         )
@@ -1536,7 +1528,6 @@ class ShardStreamFabric:
         capacity: int,
         ring: int = 4,
         sample_every: int = 0,
-        kernel: str = "auto",
         max_workers: Optional[int] = None,
         result_timeout: float = 0.2,
         max_retries: int = 1,
@@ -1553,7 +1544,6 @@ class ShardStreamFabric:
         self.capacity = capacity
         self.ring = ring
         self._sample_every = sample_every
-        self._kernel = kernel
         #: Supervision: ``max_retries`` worker respawns per shard before the
         #: shard quarantines; 0 disables recovery (a crash aborts the
         #: stream, pre-supervision behaviour).
@@ -2031,7 +2021,6 @@ class ShardStreamFabric:
             layout=self._layout,
             capacity=self.capacity,
             sample_every=self._sample_every,
-            kernel=self._kernel,
             state_kind=self._kind,
             state_name=self._state_names[shard],
         )

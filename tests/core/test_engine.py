@@ -6,9 +6,12 @@ import pytest
 
 from repro.core.engine import ProvenanceEngine
 from repro.core.interaction import Interaction
+from repro.datasets.catalog import load_preset
+from repro.policies.generation_time import LeastRecentlyBornPolicy
 from repro.policies.no_provenance import NoProvenancePolicy
-from repro.policies.proportional import ProportionalDensePolicy
+from repro.policies.proportional import ProportionalDensePolicy, ProportionalSparsePolicy
 from repro.policies.receipt_order import FifoPolicy
+from repro.runtime import RunConfig, Runner
 
 
 class TestRun:
@@ -85,10 +88,6 @@ class _ShrinkingPolicy(NoProvenancePolicy):
         self._processed += 1
         if self._processed == self.shrink_at:
             self._buffers.clear()
-
-    def process_many(self, interactions):
-        for interaction in interactions:
-            self.process(interaction)
 
 
 def _distinct_pair_stream(count, *, repeated_after=None):
@@ -173,6 +172,39 @@ class TestBatchedRun:
         engine.run(paper_network, batch_size=4)
         # Every single interaction was observed despite the batch request.
         assert positions == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "drive",
+        [{}, {"micro_batch": 64}, {"batch_size": 1}],
+        ids=["default", "micro-batch", "per-interaction"],
+    )
+    @pytest.mark.parametrize(
+        "base",
+        [
+            NoProvenancePolicy,
+            FifoPolicy,
+            LeastRecentlyBornPolicy,
+            ProportionalDensePolicy,
+            ProportionalSparsePolicy,
+        ],
+    )
+    def test_process_override_sees_every_interaction(self, base, drive):
+        """A subclass that overrides only ``process`` is called once per
+        interaction on every drive: the batched fast paths defer to it."""
+
+        class Counting(base):
+            calls = 0
+
+            def process(self, interaction):
+                self.calls += 1
+                super().process(interaction)
+
+        network = load_preset("taxis", scale=0.05)
+        policy = Counting()
+        result = Runner(RunConfig(dataset=network, policy=policy, **drive)).run()
+        reference = Runner(RunConfig(dataset=network, policy=base(), batch_size=1)).run()
+        assert policy.calls == network.num_interactions
+        assert dict(result.buffer_totals()) == dict(reference.buffer_totals())
 
 
 class TestStepAndObservers:

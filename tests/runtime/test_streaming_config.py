@@ -95,9 +95,14 @@ class TestSchedulerWiring:
         # per-interaction batch sizes still get a sensible scheduler default
         assert RunConfig(batch_size=1).effective_micro_batch > 1
 
-    def test_checkpoint_every_keeps_batching_on_scheduled_runs(self):
+    def test_checkpoint_every_keeps_batching(self):
         eager = RunConfig(dataset="taxis", checkpoint_every=10, checkpoint_path="x")
-        assert eager.effective_batch_size == 1  # historical observer path
+        assert eager.effective_batch_size == eager.batch_size
+        observed = RunConfig(
+            dataset="taxis", checkpoint_every=10, checkpoint_path="x",
+            observers=[lambda engine, interaction, position: None],
+        )
+        assert observed.effective_batch_size == 1
         scheduled = RunConfig(
             dataset="taxis", micro_batch=64, checkpoint_every=10, checkpoint_path="x"
         )

@@ -253,31 +253,33 @@ def test_source_seek_resume_mid_stream(network, tmp_path):
     write_interactions_csv(network.interactions, feed)
     half = network.num_interactions // 2
     eager = Runner(eager_config(network, "fifo", "dict", shards=2)).run()
-    Runner(
-        RunConfig(
-            source=CsvTailSource(feed, vertex_type=int),
-            policy="fifo",
-            streaming_shards=2,
-            shard_by="hash",
-            micro_batch=64,
-            limit=half,
-            checkpoint_every=200,
-            checkpoint_path=path,
-        )
-    ).run()
+    with CsvTailSource(feed, vertex_type=int) as src:
+        Runner(
+            RunConfig(
+                source=src,
+                policy="fifo",
+                streaming_shards=2,
+                shard_by="hash",
+                micro_batch=64,
+                limit=half,
+                checkpoint_every=200,
+                checkpoint_path=path,
+            )
+        ).run()
     manifest = read_checkpoint(path)
     assert manifest["mode"] == "source"
     assert manifest["source_resume"] is not None  # byte offset, not replay
-    resumed = Runner(
-        RunConfig(
-            source=CsvTailSource(feed, vertex_type=int),
-            policy="fifo",
-            streaming_shards=2,
-            shard_by="hash",
-            micro_batch=64,
-            resume_from=path,
-        )
-    ).run()
+    with CsvTailSource(feed, vertex_type=int) as src:
+        resumed = Runner(
+            RunConfig(
+                source=src,
+                policy="fifo",
+                streaming_shards=2,
+                shard_by="hash",
+                micro_batch=64,
+                resume_from=path,
+            )
+        ).run()
     assert snapshot_dict(eager) == snapshot_dict(resumed)
     assert dict(eager.buffer_totals()) == dict(resumed.buffer_totals())
     assert our_segment_names() == []

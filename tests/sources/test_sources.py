@@ -112,17 +112,18 @@ class TestCsvTailSource:
     def test_reads_existing_file_and_exhausts(self, tmp_path):
         path = tmp_path / "feed.csv"
         write_interactions_csv(make([1, 2, 3]), path)
-        src = CsvTailSource(path)
-        assert [r.time for r in src.poll(10)] == [1, 2, 3]
-        assert src.poll(10) == []
-        assert src.exhausted
+        with CsvTailSource(path) as src:
+            assert [r.time for r in src.poll(10)] == [1, 2, 3]
+            assert src.poll(10) == []
+            assert src.exhausted
 
     def test_missing_file_rejected_unless_opted_out(self, tmp_path):
         with pytest.raises(DatasetError):
             CsvTailSource(tmp_path / "nope.csv")
-        src = CsvTailSource(tmp_path / "later.csv", must_exist=False, follow=True,
-                            idle_timeout=0.01)
-        assert src.poll(5) == []  # nothing yet, not an error
+        with CsvTailSource(
+            tmp_path / "later.csv", must_exist=False, follow=True, idle_timeout=0.01
+        ) as src:
+            assert src.poll(5) == []  # nothing yet, not an error
 
     def test_must_exist_false_requires_follow(self, tmp_path):
         # A non-following source would exhaust on the first poll before the
@@ -132,72 +133,74 @@ class TestCsvTailSource:
 
     def test_waits_for_the_file_to_appear(self, tmp_path):
         path = tmp_path / "later.csv"
-        src = CsvTailSource(path, must_exist=False, follow=True, idle_timeout=60)
-        assert src.poll(5) == [] and not src.exhausted
-        path.write_text("a,b,1.0,2.0\n")
-        assert [r.time for r in src.poll(5)] == [1.0]
+        with CsvTailSource(path, must_exist=False, follow=True, idle_timeout=60) as src:
+            assert src.poll(5) == [] and not src.exhausted
+            path.write_text("a,b,1.0,2.0\n")
+            assert [r.time for r in src.poll(5)] == [1.0]
 
     def test_follow_picks_up_appended_rows(self, tmp_path):
         path = tmp_path / "feed.csv"
         write_interactions_csv(make([1]), path)
-        src = CsvTailSource(path, follow=True, idle_timeout=60)
-        assert [r.time for r in src.poll(10)] == [1]
-        assert src.poll(10) == []
-        assert not src.exhausted
-        with path.open("a") as handle:
-            handle.write("a,b,2.0,1.0\n")
-        assert [r.time for r in src.poll(10)] == [2.0]
+        with CsvTailSource(path, follow=True, idle_timeout=60) as src:
+            assert [r.time for r in src.poll(10)] == [1]
+            assert src.poll(10) == []
+            assert not src.exhausted
+            with path.open("a") as handle:
+                handle.write("a,b,2.0,1.0\n")
+            assert [r.time for r in src.poll(10)] == [2.0]
 
     def test_partial_line_buffered_until_newline_lands(self, tmp_path):
         path = tmp_path / "feed.csv"
         path.write_text("a,b,1.0,1.0\n")
-        src = CsvTailSource(path, follow=True, idle_timeout=60)
-        assert len(src.poll(10)) == 1
-        with path.open("a") as handle:
-            handle.write("a,b,2.0,")  # torn row: no newline yet
-        assert src.poll(10) == []
-        with path.open("a") as handle:
-            handle.write("5.0\n")
-        [interaction] = src.poll(10)
-        assert interaction.time == 2.0 and interaction.quantity == 5.0
+        with CsvTailSource(path, follow=True, idle_timeout=60) as src:
+            assert len(src.poll(10)) == 1
+            with path.open("a") as handle:
+                handle.write("a,b,2.0,")  # torn row: no newline yet
+            assert src.poll(10) == []
+            with path.open("a") as handle:
+                handle.write("5.0\n")
+            [interaction] = src.poll(10)
+            assert interaction.time == 2.0 and interaction.quantity == 5.0
 
     def test_idle_timeout_exhausts_follow_run(self, tmp_path):
         clock = FakeClock()
         path = tmp_path / "feed.csv"
         write_interactions_csv(make([1]), path)
-        src = CsvTailSource(path, follow=True, idle_timeout=2.0, clock=clock)
-        src.poll(10)
-        clock.advance(1.0)
-        assert src.poll(10) == [] and not src.exhausted
-        clock.advance(1.5)
-        assert src.poll(10) == []
-        assert src.exhausted
+        with CsvTailSource(path, follow=True, idle_timeout=2.0, clock=clock) as src:
+            src.poll(10)
+            clock.advance(1.0)
+            assert src.poll(10) == [] and not src.exhausted
+            clock.advance(1.5)
+            assert src.poll(10) == []
+            assert src.exhausted
 
     def test_header_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "feed.csv"
         path.write_text("source,destination,time,quantity\n\na,b,1.0,2.0\n")
-        src = CsvTailSource(path)
-        [interaction] = src.poll(10)
+        with CsvTailSource(path) as src:
+            [interaction] = src.poll(10)
         assert interaction.time == 1.0
 
     def test_vertex_type_conversion(self, tmp_path):
         path = tmp_path / "feed.csv"
         path.write_text("1,2,1.0,2.0\n")
-        [interaction] = CsvTailSource(path, vertex_type=int).poll(10)
+        with CsvTailSource(path, vertex_type=int) as src:
+            [interaction] = src.poll(10)
         assert interaction.source == 1 and interaction.destination == 2
 
     def test_out_of_order_rows_rejected(self, tmp_path):
         path = tmp_path / "feed.csv"
         path.write_text("a,b,2.0,1.0\na,b,1.0,1.0\n")
-        src = CsvTailSource(path)
-        with pytest.raises(InvalidInteractionError):
-            src.poll(10)
+        with CsvTailSource(path) as src:
+            with pytest.raises(InvalidInteractionError):
+                src.poll(10)
 
     def test_malformed_row_raises_dataset_error(self, tmp_path):
         path = tmp_path / "feed.csv"
         path.write_text("a,b,notatime,1.0\n")
-        with pytest.raises(DatasetError):
-            CsvTailSource(path).poll(10)
+        with CsvTailSource(path) as src:
+            with pytest.raises(DatasetError):
+                src.poll(10)
 
     def test_final_row_without_trailing_newline_is_not_dropped(self, tmp_path):
         # Files written by other tools often lack the final newline; the
@@ -207,7 +210,8 @@ class TestCsvTailSource:
         path = tmp_path / "feed.csv"
         path.write_text("a,b,1.0,1.0\na,b,2.0,3.0")  # no trailing \n
         eager = list(read_interactions_csv(path))
-        tailed = list(CsvTailSource(path))
+        with CsvTailSource(path) as src:
+            tailed = list(src)
         assert len(eager) == 2
         assert tailed == eager
 
@@ -218,29 +222,29 @@ class TestCsvTailSource:
         clock = FakeClock()
         path = tmp_path / "feed.csv"
         path.write_text("a,b,1.0,1.0\n")
-        src = CsvTailSource(path, follow=True, idle_timeout=1.0, clock=clock)
-        src.poll(10)
-        clock.advance(0.9)
-        with path.open("a") as handle:
-            handle.write("a,b,2.0,")      # torn write: progress, no full row
-        assert src.poll(10) == []
-        clock.advance(0.9)                # 1.8 since the last COMPLETE row
-        assert src.poll(10) == []
-        assert not src.exhausted          # partial bytes kept it alive
-        with path.open("a") as handle:
-            handle.write("5.0\n")
-        assert [r.quantity for r in src.poll(10)] == [5.0]
+        with CsvTailSource(path, follow=True, idle_timeout=1.0, clock=clock) as src:
+            src.poll(10)
+            clock.advance(0.9)
+            with path.open("a") as handle:
+                handle.write("a,b,2.0,")      # torn write: progress, no full row
+            assert src.poll(10) == []
+            clock.advance(0.9)                # 1.8 since the last COMPLETE row
+            assert src.poll(10) == []
+            assert not src.exhausted          # partial bytes kept it alive
+            with path.open("a") as handle:
+                handle.write("5.0\n")
+            assert [r.quantity for r in src.poll(10)] == [5.0]
 
     def test_unterminated_final_row_flushed_at_idle_timeout(self, tmp_path):
         clock = FakeClock()
         path = tmp_path / "feed.csv"
         path.write_text("a,b,1.0,1.0\na,b,2.0,3.0")  # producer died mid-write
-        src = CsvTailSource(path, follow=True, idle_timeout=1.0, clock=clock)
-        assert [r.time for r in src.poll(10)] == [1.0]
-        clock.advance(2.0)
-        [final] = src.poll(10)
-        assert final.time == 2.0 and final.quantity == 3.0
-        assert src.exhausted
+        with CsvTailSource(path, follow=True, idle_timeout=1.0, clock=clock) as src:
+            assert [r.time for r in src.poll(10)] == [1.0]
+            clock.advance(2.0)
+            [final] = src.poll(10)
+            assert final.time == 2.0 and final.quantity == 3.0
+            assert src.exhausted
 
 
 class TestMergeSource:
